@@ -2,19 +2,18 @@
 bounds, and Cauchy root bounds.
 
 The separation bound delta(n, m, d, H) involves 2^(4 - n/2), irrational for
-odd n; it is computed exactly in Q(sqrt 2) and the ceiling taken by exact
-sign comparisons.  A "loose" mode rounds that factor up to the next integer
+odd n; it is raised to an even power, so delta is computed exactly in
+integer arithmetic.  A "loose" mode rounds that factor up to the next integer
 power of two, which only enlarges delta and stays safe for every use here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .ratcore import AlgebraicElement, RatLike, format_rat
-
+from .ratcore import RatLike, format_int, sign
 from .polyalg import UniPoly, uni_degree, uni_eval
 
 
@@ -38,12 +37,11 @@ def box_bound(n: int, H: int) -> int:
     return (n * H) ** n
 
 
-def _one_over_eps(n: int, m: int, d: int, H: int, loose: bool):
+def _one_over_eps(n: int, m: int, d: int, H: int, loose: bool) -> Fraction:
     """(2^(4-n/2) * max(H, 2n+2m) * d^n) ^ (n * 2^n * d^n), exact.
 
-    Returns a Fraction when the power is rational, else an AlgebraicElement
-    of Q(sqrt 2).  The exponent n*2^n*d^n is even for n >= 1, so the exact
-    value always lands back in Q; the algebraic path is kept for safety.
+    With 2^(4-n/2) = 2^q2 * sqrt(2)^r2, the exponent E = n*2^n*d^n is even
+    for n >= 1, so the value is the rational (2^q2 * C)^E * 2^(r2*E/2).
     """
     if n < 2 or m < 1 or H < 1:
         raise ValueError("need n >= 2, m >= 1, H >= 1")
@@ -54,37 +52,24 @@ def _one_over_eps(n: int, m: int, d: int, H: int, loose: bool):
     q2, r2 = divmod(8 - n, 2)  # 2^(4-n/2) = 2^q2 * sqrt(2)^r2
     if loose and r2:
         q2, r2 = q2 + 1, 0
-    pow2 = Fraction(2) ** q2
-    if r2 == 0:
-        return (pow2 * C) ** E
-    base = AlgebraicElement(2, 2, (Fraction(0), pow2 * C))
-    value = base ** E
-    return value.to_rational() if value.is_rational() else value
-
-
-def _exact_ceil(x) -> int:
-    if isinstance(x, AlgebraicElement):
-        # ceil(x) = -floor(-x); floor via exact interval refinement
-        return -((-x).floor_scaled(0))
-    x = Fraction(x)
-    return -((-x).numerator // x.denominator)
+    return (Fraction(2) ** q2 * C) ** E * 2 ** (r2 * E // 2)
 
 
 def epsilon_inverse(n: int, m: int, d: int, H: int, loose: bool = False) -> int:
     """Ceiling of 1/eps(n, m, d, H)."""
-    return _exact_ceil(_one_over_eps(n, m, d, H, loose))
+    return math.ceil(_one_over_eps(n, m, d, H, loose))
 
 
 def delta_bound(n: int, m: int, d: int, H: int, loose: bool = False) -> int:
     """delta(n,m,d,H) = ceil(2 * (2^(4-n/2) * max(H, 2n+2m) * d^n)^(n*2^n*d^n))."""
-    return _exact_ceil(2 * _one_over_eps(n, m, d, H, loose))
+    return math.ceil(2 * _one_over_eps(n, m, d, H, loose))
 
 
 def phi_bound(L: RatLike, M: RatLike, ell: int, delta: int) -> int:
     """phi = ceil(L*M*ell*delta), the per-axis grid half-count."""
     if ell < 1 or delta < 1:
         raise ValueError("ell and delta must be >= 1")
-    return _exact_ceil(Fraction(L) * Fraction(M) * ell * delta)
+    return math.ceil(Fraction(L) * Fraction(M) * ell * delta)
 
 
 def cauchy_bounds(p: UniPoly) -> tuple[Fraction, Fraction]:
@@ -131,10 +116,10 @@ def locate_roots_bisection(
     if len(coeffs) >= 2:
         M, _ = cauchy_bounds(coeffs)
         step = 2 * M / scan
-        prev_x, prev_s = -M, _sign(uni_eval(coeffs, -M))
+        prev_x, prev_s = -M, sign(uni_eval(coeffs, -M))
         for i in range(1, scan + 1):
             x = -M + i * step
-            s = _sign(uni_eval(coeffs, x))
+            s = sign(uni_eval(coeffs, x))
             if s == 0:
                 # exact hit; resetting prev below keeps the next bracket
                 # from re-finding this root
@@ -145,7 +130,7 @@ def locate_roots_bisection(
                     if hi - lo <= Fraction(1, 1 << depth):
                         break
                     mid = (lo + hi) / 2
-                    sm = _sign(uni_eval(coeffs, mid))
+                    sm = sign(uni_eval(coeffs, mid))
                     if sm == 0:
                         lo = hi = mid
                         break
@@ -156,10 +141,6 @@ def locate_roots_bisection(
                 out.append((lo, hi))
             prev_x, prev_s = x, s
     return sorted(set(out))
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
 
 
 @dataclass(frozen=True)
@@ -181,11 +162,11 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {
-            "M": str(self.M),
-            "L": str(self.L),
-            "epsilon_inverse": str(self.epsilon_inverse),
-            "delta": str(self.delta),
-            "phi": str(self.phi),
+            "M": format_int(self.M),
+            "L": format_int(self.L),
+            "epsilon_inverse": format_int(self.epsilon_inverse),
+            "delta": format_int(self.delta),
+            "phi": format_int(self.phi),
             "delta_bits": self.delta.bit_length(),
             "phi_bits": self.phi.bit_length(),
             "mode": self.mode,

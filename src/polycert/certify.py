@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratcore import encoding_size_vec
+from .ratcore import encoding_size_vec, format_int, format_rat
 from .polyalg import Polynomial
 from .systems import LE0, PolySystem, Verdict, relax, verify
 from .linear import enumerate_vertices, linear_rows, recession_ray, row_polynomial
@@ -31,9 +31,9 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {
-            "point": {"values": [f"{v.numerator}/{v.denominator}" for v in self.point]},
-            "delta_used": str(self.delta_used),
-            "phi": str(self.phi),
+            "point": {"values": [format_rat(v) for v in self.point]},
+            "delta_used": format_int(self.delta_used),
+            "phi": format_int(self.phi),
             "box_index": list(self.box_index),
             "size_bits": self.size_bits,
         }

@@ -21,9 +21,9 @@ import sys
 import time
 from fractions import Fraction
 
-from .ratcore import AlgebraicElement, PrecisionCapError, parse_rat
+from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, parse_rat, precision_cap
 from .polyalg import Polynomial
-from .systems import EQ0, PolySystem, point_from_json, point_to_json, verify, verify_alg
+from .systems import EQ0, PolySystem, point_from_json, point_to_json, verify
 from .bounds import bound_report, delta_bound
 from .reductions import (
     brute_force_sat,
@@ -97,10 +97,12 @@ def _point_arg(data) -> list:
     return point_from_json(data)
 
 
-def _verify_any(sys_: PolySystem, point: list):
-    if any(isinstance(v, AlgebraicElement) for v in point):
-        return verify_alg(sys_, point)
-    return verify(sys_, point)
+def _check_precision_cap() -> None:
+    """A malformed cap override is a usage error, caught before any work."""
+    try:
+        precision_cap(0)
+    except ValueError as e:
+        raise UsageError(f"{PRECISION_CAP_ENV} must be an integer number of bits: {e}") from e
 
 
 # -- subcommand handlers --------------------------------------------------
@@ -111,7 +113,7 @@ def _cmd_verify(args, inputs: dict) -> tuple[int, dict]:
     inputs["point"] = _digest(args.point)
     sys_ = PolySystem.from_json(_read_json(args.system))
     point = _point_arg(_read_json(args.point))
-    v = _verify_any(sys_, point)
+    v = verify(sys_, point)
     if not v.feasible:
         print(f"point violates rows {list(v.violated)}", file=sys.stderr)
     return (0 if v.feasible else 1), {"verdict": v.to_json()}
@@ -291,7 +293,7 @@ def _cmd_reduce(args, inputs: dict) -> tuple[int, dict]:
         outputs["objective"] = objective.to_json()
     if witness is not None:
         outputs["witness"] = point_to_json(witness)
-        outputs["witness_verdict"] = _verify_any(sys_, witness).to_json()
+        outputs["witness_verdict"] = verify(sys_, witness).to_json()
     if assignment is not None:
         outputs["assignment"] = "".join("1" if b else "0" for b in assignment)
     return 0, outputs
@@ -436,6 +438,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     inputs: dict = {}
     try:
+        _check_precision_cap()
         code, outputs = args.handler(args, inputs)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

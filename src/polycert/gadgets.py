@@ -9,26 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .ratcore import AlgebraicElement, Rat, squarefree_split
-from .polyalg import Polynomial
-from .systems import EQ0, LE0, PolySystem, Verdict, point_to_json, verify, verify_alg
-
-Point = Sequence
-
-
-def _mono(nv: int, *pairs: tuple[int, int]) -> tuple[int, ...]:
-    e = [0] * nv
-    for idx, exp in pairs:
-        e[idx] += exp
-    return tuple(e)
-
-
-def _scalar_equals(value, target: Fraction) -> bool:
-    if isinstance(value, AlgebraicElement):
-        return (value - AlgebraicElement.from_rational(value.e, value.k, target)).is_zero()
-    return value == target
+from .ratcore import AlgebraicElement, Rat, format_rat, sign, squarefree_split
+from .polyalg import Polynomial, monomial
+from .systems import EQ0, LE0, PolySystem, Verdict, point_to_json, verify
 
 
 @dataclass(frozen=True)
@@ -48,7 +32,7 @@ class Landmark:
             "name": self.name,
             "point": point_to_json(list(self.point)),
             "expect_feasible": self.expect_feasible,
-            "expect_worst": f"{self.expect_worst.numerator}/{self.expect_worst.denominator}",
+            "expect_worst": format_rat(self.expect_worst),
         }
         if self.expect_violated is not None:
             out["expect_violated"] = list(self.expect_violated)
@@ -69,11 +53,7 @@ class GadgetBundle:
                     f"landmark {lm.name!r}: feasible={v.feasible}, expected {lm.expect_feasible}"
                 )
             worst = v.worst_violation
-            if isinstance(worst, AlgebraicElement):
-                ok = _scalar_equals(worst, lm.expect_worst)
-            else:
-                ok = worst == lm.expect_worst
-            if not ok:
+            if sign(worst - lm.expect_worst) != 0:
                 raise AssertionError(
                     f"landmark {lm.name!r}: worst violation {worst}, expected {lm.expect_worst}"
                 )
@@ -83,32 +63,20 @@ class GadgetBundle:
                 )
             if lm.expect_residuals:
                 for idx, target in lm.expect_residuals.items():
-                    if not _scalar_equals(v.residuals[idx], target):
+                    if sign(v.residuals[idx] - target) != 0:
                         raise AssertionError(
                             f"landmark {lm.name!r}: residual[{idx}] = {v.residuals[idx]}, expected {target}"
                         )
             if lm.expect_objective is not None:
                 if self.system.objective is None:
                     raise AssertionError(f"landmark {lm.name!r} expects an objective value but the system has no objective")
-                val = self._objective_at(lm.point)
-                if isinstance(lm.expect_objective, AlgebraicElement) or isinstance(val, AlgebraicElement):
-                    diff = val - lm.expect_objective
-                    ok = diff.is_zero() if isinstance(diff, AlgebraicElement) else diff == 0
-                else:
-                    ok = val == lm.expect_objective
-                if not ok:
+                val = self.system.objective.eval(list(lm.point))
+                if sign(val - lm.expect_objective) != 0:
                     raise AssertionError(
                         f"landmark {lm.name!r}: objective {val}, expected {lm.expect_objective}"
                     )
 
-    def _objective_at(self, point: Point):
-        if any(isinstance(c, AlgebraicElement) for c in point):
-            return self.system.objective.eval_alg(list(point))
-        return self.system.objective.eval(list(point))
-
     def check(self, lm: Landmark) -> Verdict:
-        if any(isinstance(c, AlgebraicElement) for c in lm.point):
-            return verify_alg(self.system, list(lm.point))
         return verify(self.system, list(lm.point))
 
     def to_json(self) -> dict:
@@ -121,10 +89,10 @@ class GadgetBundle:
 
 def _h_terms(nv: int, iy1: int, iy2: int) -> dict:
     return {
-        _mono(nv, (iy1, 3)): Fraction(2),
-        _mono(nv, (iy2, 3)): Fraction(1),
-        _mono(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-        _mono(nv): Fraction(4),
+        monomial(nv, (iy1, 3)): Fraction(2),
+        monomial(nv, (iy2, 3)): Fraction(1),
+        monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
+        monomial(nv): Fraction(4),
     }
 
 
@@ -146,10 +114,10 @@ def gadget_h(gamma: Rat) -> GadgetBundle:
     nv = 2
     lo1 = Fraction(1259, 1000) - gamma
     rows = [
-        (Polynomial(nv, {_mono(nv, (0, 1)): -1, _mono(nv): lo1}), LE0),
-        (Polynomial(nv, {_mono(nv, (0, 1)): 1, _mono(nv): Fraction(-1260, 1000)}), LE0),
-        (Polynomial(nv, {_mono(nv, (1, 1)): -1, _mono(nv): Fraction(1587, 1000)}), LE0),
-        (Polynomial(nv, {_mono(nv, (1, 1)): 1, _mono(nv): Fraction(-1590, 1000)}), LE0),
+        (Polynomial(nv, {monomial(nv, (0, 1)): -1, monomial(nv): lo1}), LE0),
+        (Polynomial(nv, {monomial(nv, (0, 1)): 1, monomial(nv): Fraction(-1260, 1000)}), LE0),
+        (Polynomial(nv, {monomial(nv, (1, 1)): -1, monomial(nv): Fraction(1587, 1000)}), LE0),
+        (Polynomial(nv, {monomial(nv, (1, 1)): 1, monomial(nv): Fraction(-1590, 1000)}), LE0),
         (Polynomial(nv, _h_terms(nv, 0, 1)), LE0),
     ]
     t = AlgebraicElement.root(3, 2)
@@ -182,16 +150,16 @@ def gadget_tiny(n: int) -> GadgetBundle:
         raise ValueError("need n >= 1")
     nv = n + 1
     rows: list[tuple] = [
-        (Polynomial(nv, {_mono(nv, (1, 1)): -1}), LE0),
-        (Polynomial(nv, {_mono(nv, (1, 1)): 1, _mono(nv): Fraction(-1, 2)}), LE0),
+        (Polynomial(nv, {monomial(nv, (1, 1)): -1}), LE0),
+        (Polynomial(nv, {monomial(nv, (1, 1)): 1, monomial(nv): Fraction(-1, 2)}), LE0),
     ]
     for k in range(2, n + 1):
-        rows.append((Polynomial(nv, {_mono(nv, (k, 1)): -1}), LE0))
+        rows.append((Polynomial(nv, {monomial(nv, (k, 1)): -1}), LE0))
         rows.append(
-            (Polynomial(nv, {_mono(nv, (k, 1)): 1, _mono(nv, (k - 1, 2)): -1}), LE0)
+            (Polynomial(nv, {monomial(nv, (k, 1)): 1, monomial(nv, (k - 1, 2)): -1}), LE0)
         )
-    rows.append((Polynomial(nv, {_mono(nv, (0, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (0, 1)): 1, _mono(nv, (n, 2)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (0, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (0, 1)): 1, monomial(nv, (n, 2)): -1}), LE0))
     names = ["s"] + [f"d{k}" for k in range(1, n + 1)]
     max_point = tuple(
         [Fraction(1, 2 ** (2 ** n))] + [Fraction(1, 2 ** (2 ** (k - 1))) for k in range(1, n + 1)]
@@ -210,11 +178,11 @@ def gadget_khachiyan(n: int) -> GadgetBundle:
         raise ValueError("need n >= 1")
     nv = n
     rows: list[tuple] = [
-        (Polynomial(nv, {_mono(nv, (0, 1)): -1, _mono(nv): 2}), LE0)
+        (Polynomial(nv, {monomial(nv, (0, 1)): -1, monomial(nv): 2}), LE0)
     ]
     for i in range(n - 1):
         rows.append(
-            (Polynomial(nv, {_mono(nv, (i, 2)): 1, _mono(nv, (i + 1, 1)): -1}), LE0)
+            (Polynomial(nv, {monomial(nv, (i, 2)): 1, monomial(nv, (i + 1, 1)): -1}), LE0)
         )
     chain = tuple(Fraction(2 ** (2 ** i)) for i in range(n))
     landmarks = (
@@ -248,11 +216,11 @@ def gadget_badboy(N: int) -> GadgetBundle:
             Polynomial(
                 nv,
                 {
-                    _mono(nv, (ix1, 2)): -1,
-                    _mono(nv, (ix1, 1)): 2,
-                    _mono(nv, (ix2, 2)): -1,
-                    _mono(nv, (id0 + N - 1, 2)): 1,
-                    _mono(nv): 2,
+                    monomial(nv, (ix1, 2)): -1,
+                    monomial(nv, (ix1, 1)): 2,
+                    monomial(nv, (ix2, 2)): -1,
+                    monomial(nv, (id0 + N - 1, 2)): 1,
+                    monomial(nv): 2,
                 },
             ),
             LE0,
@@ -262,10 +230,10 @@ def gadget_badboy(N: int) -> GadgetBundle:
             Polynomial(
                 nv,
                 {
-                    _mono(nv, (ix1, 2)): -1,
-                    _mono(nv, (ix1, 1)): -2,
-                    _mono(nv, (ix2, 2)): -1,
-                    _mono(nv): 2,
+                    monomial(nv, (ix1, 2)): -1,
+                    monomial(nv, (ix1, 1)): -2,
+                    monomial(nv, (ix2, 2)): -1,
+                    monomial(nv): 2,
                 },
             ),
             LE0,
@@ -274,7 +242,7 @@ def gadget_badboy(N: int) -> GadgetBundle:
         (
             Polynomial(
                 nv,
-                {_mono(nv, (ix1, 2)): Fraction(1, 10), _mono(nv, (ix2, 2)): 1, _mono(nv): -2},
+                {monomial(nv, (ix1, 2)): Fraction(1, 10), monomial(nv, (ix2, 2)): 1, monomial(nv): -2},
             ),
             LE0,
         ),
@@ -283,18 +251,18 @@ def gadget_badboy(N: int) -> GadgetBundle:
             Polynomial(
                 nv,
                 {
-                    _mono(nv, (id0, 1)): 1,
-                    _mono(nv, (id0 + N - 1, 1)): 1,
-                    _mono(nv): Fraction(-1, 2),
+                    monomial(nv, (id0, 1)): 1,
+                    monomial(nv, (id0 + N - 1, 1)): 1,
+                    monomial(nv): Fraction(-1, 2),
                 },
             ),
             EQ0,
         ),
-        (Polynomial(nv, {_mono(nv, (id0, 1)): -1}), LE0),
+        (Polynomial(nv, {monomial(nv, (id0, 1)): -1}), LE0),
     ]
     for i in range(N - 1):
         rows.append(
-            (Polynomial(nv, {_mono(nv, (id0 + i, 2)): 1, _mono(nv, (id0 + i + 1, 1)): -1}), LE0)
+            (Polynomial(nv, {monomial(nv, (id0 + i, 2)): 1, monomial(nv, (id0 + i + 1, 1)): -1}), LE0)
         )
     names = ["x1", "x2"] + [f"d{i}" for i in range(1, N + 1)]
     objective = Polynomial.variable(nv, ix2)
@@ -356,21 +324,21 @@ def gadget_socp(a: int, b: int, c: int, d: int) -> GadgetBundle:
         (
             Polynomial(
                 nv,
-                {_mono(nv, (1, 2)): 1, _mono(nv, (2, 2)): 1, _mono(nv, (0, 2)): -1},
+                {monomial(nv, (1, 2)): 1, monomial(nv, (2, 2)): 1, monomial(nv, (0, 2)): -1},
             ),
             LE0,
         ),
         (
             Polynomial(
                 nv,
-                {_mono(nv, (0, 2)): 1, _mono(nv, (3, 2)): 1, _mono(nv): -d * d},
+                {monomial(nv, (0, 2)): 1, monomial(nv, (3, 2)): 1, monomial(nv): -d * d},
             ),
             LE0,
         ),
-        (Polynomial(nv, {_mono(nv, (1, 1)): -1, _mono(nv): a}), LE0),
-        (Polynomial(nv, {_mono(nv, (2, 1)): -1, _mono(nv): b}), LE0),
-        (Polynomial(nv, {_mono(nv, (3, 1)): -1, _mono(nv): c}), LE0),
-        (Polynomial(nv, {_mono(nv, (0, 1)): -1}), LE0),
+        (Polynomial(nv, {monomial(nv, (1, 1)): -1, monomial(nv): a}), LE0),
+        (Polynomial(nv, {monomial(nv, (2, 1)): -1, monomial(nv): b}), LE0),
+        (Polynomial(nv, {monomial(nv, (3, 1)): -1, monomial(nv): c}), LE0),
+        (Polynomial(nv, {monomial(nv, (0, 1)): -1}), LE0),
     ]
     outer, inner = squarefree_split(a * a + b * b)
     if inner == 1:
@@ -406,10 +374,10 @@ def gadget_unlucky(sigma: Rat) -> GadgetBundle:
             Polynomial(
                 nv,
                 {
-                    _mono(nv, (0, 2)): -1,
-                    _mono(nv, (0, 1)): 2,
-                    _mono(nv, (1, 2)): -1,
-                    _mono(nv): 4 + sigma,
+                    monomial(nv, (0, 2)): -1,
+                    monomial(nv, (0, 1)): 2,
+                    monomial(nv, (1, 2)): -1,
+                    monomial(nv): 4 + sigma,
                 },
             ),
             LE0,
@@ -418,10 +386,10 @@ def gadget_unlucky(sigma: Rat) -> GadgetBundle:
             Polynomial(
                 nv,
                 {
-                    _mono(nv, (0, 2)): -1,
-                    _mono(nv, (0, 1)): -2,
-                    _mono(nv, (1, 2)): -1,
-                    _mono(nv): 4,
+                    monomial(nv, (0, 2)): -1,
+                    monomial(nv, (0, 1)): -2,
+                    monomial(nv, (1, 2)): -1,
+                    monomial(nv): 4,
                 },
             ),
             LE0,
@@ -429,11 +397,11 @@ def gadget_unlucky(sigma: Rat) -> GadgetBundle:
         (
             Polynomial(
                 nv,
-                {_mono(nv, (0, 2)): Fraction(1, 10), _mono(nv, (1, 2)): 1, _mono(nv): -4},
+                {monomial(nv, (0, 2)): Fraction(1, 10), monomial(nv, (1, 2)): 1, monomial(nv): -4},
             ),
             LE0,
         ),
-        (Polynomial(nv, {_mono(nv, (1, 1)): -1}), LE0),
+        (Polynomial(nv, {monomial(nv, (1, 1)): -1}), LE0),
     ]
     feasible = sigma == 0
     landmarks = (

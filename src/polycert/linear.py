@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .polyalg import Polynomial
+from .polyalg import Polynomial, monomial
 from .systems import EQ0, LE0, PolySystem
 
 Row = tuple[tuple[Fraction, ...], Fraction]
@@ -29,7 +29,7 @@ def linear_rows(sys_: PolySystem, tags: tuple[str, ...] = ("linear",)) -> list[R
             continue
         if c.poly.degree() > 1:
             raise ValueError("non-linear row in linear extraction")
-        a = tuple(c.poly.coefficient(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
+        a = tuple(c.poly.coefficient(monomial(n, (i, 1))) for i in range(n))
         b = -c.poly.constant_term()
         rows.append((a, b))
         if c.rel == EQ0:
@@ -39,8 +39,8 @@ def linear_rows(sys_: PolySystem, tags: tuple[str, ...] = ("linear",)) -> list[R
 
 def row_polynomial(n: int, a: Sequence[Fraction], b: Fraction) -> Polynomial:
     """The constraint polynomial a.x - b for a row a.x <= b."""
-    terms = {tuple(1 if j == i else 0 for j in range(n)): Fraction(ai) for i, ai in enumerate(a) if ai}
-    terms[(0,) * n] = terms.get((0,) * n, Fraction(0)) - Fraction(b)
+    terms = {monomial(n, (i, 1)): Fraction(ai) for i, ai in enumerate(a) if ai}
+    terms[monomial(n)] = -Fraction(b)
     return Polynomial(n, terms)
 
 
@@ -85,8 +85,13 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rk
 
 
+def dot(a: Sequence, x: Sequence):
+    """a.x, exact; entries may be rational or lie in one algebraic field."""
+    return sum(ai * xi for ai, xi in zip(a, x))
+
+
 def satisfies(rows: Sequence[Row], x: Sequence[Fraction]) -> bool:
-    return all(sum(a * v for a, v in zip(row, x)) <= b for row, b in rows)
+    return all(dot(row, x) <= b for row, b in rows)
 
 
 def enumerate_vertices(rows: Sequence[Row], n: int) -> list[tuple[Fraction, ...]]:
@@ -127,36 +132,39 @@ def _recession_candidates(rows: Sequence[Row], n: int):
 
 def recession_ray(rows: Sequence[Row], n: int) -> tuple[Fraction, ...] | None:
     """A nonzero v with a.v <= 0 for every row, or None when the recession
-    cone is trivial (i.e. the polyhedron is bounded if nonempty)."""
+    cone is trivial (i.e. the polyhedron is bounded if nonempty).
+
+    Candidate rays come from cross products of normals, which covers
+    1 <= n <= 3 only; larger n raises rather than answer "bounded" wrongly."""
+    if n < 1 or n > 3:
+        raise ValueError("recession ray search supported for 1 <= n <= 3")
     normals = [a for a, _ in rows if any(a)]
     if rank(normals) < n:
-        # null-space direction: solve for a kernel vector by elimination
-        M = [list(a) for a in normals]
-        for basis in range(n):
-            v = [Fraction(1 if i == basis else 0) for i in range(n)]
-            # project v against row space by Gram-Schmidt over Q
-            space = _orthogonalize(M)
-            for w in space:
-                num = sum(a * b for a, b in zip(v, w))
-                den = sum(a * a for a in w)
-                v = [a - num / den * b for a, b in zip(v, w)]
+        # a nonzero null-space vector of the normals; some unit vector projects to one
+        for i in range(n):
+            v = project_to_nullspace([Fraction(int(j == i)) for j in range(n)], normals)
             if any(v):
                 return tuple(v)
         return None
     for cand in _recession_candidates(rows, n):
-        if all(sum(a * v for a, v in zip(row, cand)) <= 0 for row, _ in rows):
+        if all(dot(row, cand) <= 0 for row, _ in rows):
             return cand
     return None
 
 
-def _orthogonalize(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def _reject(v: Sequence[Fraction], basis: Sequence[list[Fraction]]) -> list[Fraction]:
+    """v minus its projection onto the span of an orthogonal basis."""
+    out = list(map(Fraction, v))
+    for w in basis:
+        c = dot(out, w) / dot(w, w)
+        out = [a - c * b for a, b in zip(out, w)]
+    return out
+
+
+def _orthogonalize(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     out: list[list[Fraction]] = []
     for r in rows:
-        v = list(map(Fraction, r))
-        for w in out:
-            num = sum(a * b for a, b in zip(v, w))
-            den = sum(a * a for a in w)
-            v = [a - num / den * b for a, b in zip(v, w)]
+        v = _reject(r, out)
         if any(v):
             out.append(v)
     return out
@@ -168,10 +176,4 @@ def is_bounded(rows: Sequence[Row], n: int) -> bool:
 
 def project_to_nullspace(v: Sequence[Fraction], normals: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     """Orthogonal projection of v onto {x : a.x = 0 for each normal a}, exact."""
-    basis = _orthogonalize([list(map(Fraction, a)) for a in normals])
-    out = list(map(Fraction, v))
-    for w in basis:
-        num = sum(a * b for a, b in zip(out, w))
-        den = sum(a * a for a in w)
-        out = [a - num / den * b for a, b in zip(out, w)]
-    return out
+    return _reject(v, _orthogonalize(normals))

@@ -12,13 +12,30 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .ratcore import AlgebraicElement, RatLike, format_rat, parse_rat
+from .ratcore import (
+    AlgebraicElement,
+    RatLike,
+    Scalar,
+    field_of,
+    format_rat,
+    lift,
+    parse_rat,
+    scalars,
+)
 
 Monomial = tuple[int, ...]
-UniPoly = list  # dense, ascending; entries Fraction (UniPoly) or AlgebraicElement (UniPolyAlg)
-Scalar = Union[int, Fraction, AlgebraicElement]
+UniPoly = list  # dense, ascending; entries all Fraction or all AlgebraicElement of one field
+
+
+def monomial(num_vars: int, *pairs: tuple[int, int]) -> Monomial:
+    """Exponent key of the product of x_i^e over the (i, e) pairs, 0-based
+    indices; repeated indices add, and no pairs gives the constant monomial."""
+    exps = [0] * num_vars
+    for index, exp in pairs:
+        exps[index] += exp
+    return tuple(exps)
 
 
 def _term_key(item: tuple[Monomial, Fraction]) -> tuple:
@@ -55,15 +72,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, num_vars: int, c: RatLike) -> "Polynomial":
-        return cls(num_vars, {(0,) * num_vars: Fraction(c)})
+        return cls(num_vars, {monomial(num_vars): Fraction(c)})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "Polynomial":
         """The monomial x_{index}, 0-based."""
         if not 0 <= index < num_vars:
             raise ValueError("variable index out of range")
-        exps = tuple(1 if i == index else 0 for i in range(num_vars))
-        return cls(num_vars, {exps: Fraction(1)})
+        return cls(num_vars, {monomial(num_vars, (index, 1)): Fraction(1)})
 
     # -- structure ---------------------------------------------------------
 
@@ -75,7 +91,7 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.num_vars, Fraction(0))
+        return self.terms.get(monomial(self.num_vars), Fraction(0))
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
@@ -148,10 +164,19 @@ class Polynomial:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, point: Sequence[RatLike]) -> Fraction:
+    def eval(self, point: Sequence[Scalar]) -> Scalar:
+        """Value at a point with rational coordinates or coordinates in one
+        field Q[t]/(t^e - k); the value lies in the point's field if it has one."""
         if len(point) != self.num_vars:
             raise ValueError("point dimension mismatch")
-        pt = [Fraction(x) for x in point]
+        pt = scalars(point)
+        return lift(self.eval_scalars(pt), field_of(pt))
+
+    eval_alg = eval  # former algebraic-only name, kept for callers
+
+    def eval_scalars(self, pt: Sequence[Scalar]) -> Scalar:
+        """Value at a point already converted by ratcore.scalars, unlifted:
+        Fraction arithmetic throughout, until an algebraic coordinate enters."""
         total = Fraction(0)
         for exps, coef in self.terms.items():
             v = coef
@@ -159,30 +184,6 @@ class Polynomial:
                 if e:
                     v *= x ** e
             total += v
-        return total
-
-    def eval_alg(self, point: Sequence[Scalar]) -> AlgebraicElement:
-        """Evaluate at a point with AlgebraicElement coordinates (rationals allowed)."""
-        if len(point) != self.num_vars:
-            raise ValueError("point dimension mismatch")
-        field = None
-        for x in point:
-            if isinstance(x, AlgebraicElement):
-                if field is not None and (x.e, x.k) != field:
-                    raise ValueError("mixed algebraic fields in point")
-                field = (x.e, x.k)
-        if field is None:
-            raise ValueError("no algebraic coordinate; use eval for rational points")
-        e_, k_ = field
-        one = AlgebraicElement.from_rational(e_, k_, 1)
-        pt = [x if isinstance(x, AlgebraicElement) else one * Fraction(x) for x in point]
-        total = AlgebraicElement.from_rational(e_, k_, 0)
-        for exps, coef in self.terms.items():
-            v = one * coef
-            for x, e in zip(pt, exps):
-                if e:
-                    v = v * x ** e
-            total = total + v
         return total
 
     # -- calculus and structure maps ----------------------------------------
@@ -217,11 +218,11 @@ class Polynomial:
             terms: dict[Monomial, Fraction] = {}
             const = Fraction(b[i])
             if const:
-                terms[(0,) * m] = const
+                terms[monomial(m)] = const
             for j, a in enumerate(A[i]):
                 a = Fraction(a)
                 if a:
-                    key = tuple(1 if t == j else 0 for t in range(m))
+                    key = monomial(m, (j, 1))
                     terms[key] = terms.get(key, Fraction(0)) + a
             images.append(Polynomial(m, terms))
         powers: list[dict[int, Polynomial]] = [dict() for _ in range(self.num_vars)]
@@ -236,45 +237,27 @@ class Polynomial:
             out = out + term
         return out
 
-    def restrict_to_ray(self, x0: Sequence[RatLike], v: Sequence[RatLike]) -> UniPoly:
-        """Dense coefficients of lambda -> p(x0 + lambda v), ascending degree."""
-        return self._restrict(
-            [Fraction(x) for x in x0], [Fraction(x) for x in v], Fraction(0), Fraction(1)
-        )
+    def restrict_to_ray(self, x0: Sequence[Scalar], v: Sequence[Scalar]) -> UniPoly:
+        """Dense coefficients of lambda -> p(x0 + lambda v), ascending degree.
 
-    def restrict_to_ray_alg(self, x0: Sequence[Scalar], v: Sequence[Scalar]) -> UniPoly:
-        """Ray restriction with algebraic base point or direction."""
-        field = None
-        for x in list(x0) + list(v):
-            if isinstance(x, AlgebraicElement):
-                if field is not None and (x.e, x.k) != field:
-                    raise ValueError("mixed algebraic fields in ray data")
-                field = (x.e, x.k)
-        if field is None:
-            return self.restrict_to_ray(x0, v)
-        e_, k_ = field
-        zero = AlgebraicElement.from_rational(e_, k_, 0)
-        one = AlgebraicElement.from_rational(e_, k_, 1)
-
-        def lift(x):
-            return x if isinstance(x, AlgebraicElement) else one * Fraction(x)
-
-        return self._restrict([lift(x) for x in x0], [lift(x) for x in v], zero, one)
-
-    def _restrict(self, x0, v, zero, one) -> UniPoly:
+        Base point and direction may share one field Q[t]/(t^e - k); the
+        coefficients then lie in that field."""
         if len(x0) != self.num_vars or len(v) != self.num_vars:
             raise ValueError("ray dimension mismatch")
-        out = [zero]
+        x0, v = scalars(x0), scalars(v)
+        field = field_of(x0 + v)
+        out = [Fraction(0)]
         for exps, coef in self.terms.items():
-            dense = [one * coef]
+            dense = [coef]
             for x, dr, e in zip(x0, v, exps):
                 for _ in range(e):
-                    dense = _dense_mul(dense, [x, dr], zero)
-            if len(dense) > len(out):
-                out = out + [zero] * (len(dense) - len(out))
+                    dense = _dense_mul(dense, [x, dr])
+            out += [Fraction(0)] * (len(dense) - len(out))
             for i, c in enumerate(dense):
                 out[i] = out[i] + c
-        return _uni_trim(out)
+        return _uni_trim([lift(c, field) for c in out])
+
+    restrict_to_ray_alg = restrict_to_ray  # former algebraic-only name, kept for callers
 
     # -- integer height ------------------------------------------------------
 
@@ -330,8 +313,8 @@ class Polynomial:
 
 # -- dense univariate helpers -------------------------------------------------
 
-def _dense_mul(a: list, b: list, zero) -> list:
-    out = [zero] * (len(a) + len(b) - 1)
+def _dense_mul(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = out[i + j] + ai * bj
@@ -343,11 +326,7 @@ def _is_zero_entry(c) -> bool:
 
 
 def _uni_trim(p: UniPoly) -> UniPoly:
-    while len(p) > 1 and _is_zero_entry(p[-1]):
-        p.pop()
-    if len(p) == 1 and _is_zero_entry(p[0]):
-        return p
-    return p
+    return p[: uni_degree(p) + 1]
 
 
 def uni_degree(p: UniPoly) -> int:

@@ -10,11 +10,13 @@ refines a dyadic enclosure of t until the value's interval excludes zero.
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import lru_cache
+from typing import Callable, Iterable, TypeVar, Union
 
 Rat = Fraction
 RatLike = Union[int, Fraction]
@@ -28,10 +30,22 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(s)
 
 
+def format_int(x: int) -> str:
+    """Exact decimal string of an integer of any size.
+
+    str() refuses integers past the interpreter's int-to-str digit limit;
+    decimal.Decimal converts them exactly and is not subject to it.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        return str(decimal.Decimal(x))
+
+
 def format_rat(q: RatLike) -> str:
     """Canonical "num/den" string, denominator always explicit."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
 def _ceil_log2(x: int) -> int:
@@ -85,6 +99,7 @@ def integer_nth_root(x: int, e: int) -> int:
     return r
 
 
+@lru_cache(maxsize=256)
 def _is_perfect_power(k: int, e: int) -> bool:
     r = integer_nth_root(k, e)
     return r ** e == k
@@ -129,45 +144,21 @@ def precision_cap(default: int) -> int:
     return int(raw) if raw else default
 
 
-# -- dense univariate polynomials over Q, ascending coefficients, for the
-#    extended Euclid behind field inversion --
-
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+T = TypeVar("T")
 
 
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and _ptrim(a):
-        shift = len(a) - len(b)
-        c = a[-1] * inv
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        _ptrim(a)
-    return _ptrim(q), a
+def refine_dyadic(try_at: Callable[[int], T | None], cap: int, target: str) -> T:
+    """First non-None try_at(k) for k = 8, 16, 32, ... while k <= cap.
 
-
-def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim(out)
-
-
-def _psub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _ptrim(out)
+    Raises PrecisionCapError, naming the target sought, once k passes cap.
+    """
+    k = 8
+    while k <= cap:
+        hit = try_at(k)
+        if hit is not None:
+            return hit
+        k *= 2
+    raise PrecisionCapError(f"no {target} within {cap} bits")
 
 
 @dataclass(frozen=True)
@@ -256,22 +247,21 @@ class AlgebraicElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicElement":
+        """adj(x) / N(x), with the norm N(x) = x * adj(x) rational and nonzero
+        for x != 0 because t^e - k is irreducible.  For x = a + b t (e = 2),
+        adj = a - b t; for x = a + b t + c t^2 (e = 3), adj = (a^2 - kbc) +
+        (kc^2 - ab) t + (b^2 - ac) t^2 and N = a^3 + kb^3 + k^2c^3 - 3kabc."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero algebraic element")
-        e, k = self.e, self.k
-        modulus = [Fraction(-k)] + [Fraction(0)] * (e - 1) + [Fraction(1)]
-        # extended Euclid: find s with s*self = gcd (a nonzero constant) mod modulus
-        r0, r1 = modulus, _ptrim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        if len(r0) != 1:
-            raise ArithmeticError("modulus not irreducible over the inputs")
-        inv_c = 1 / r0[0]
-        coeffs = [c * inv_c for c in s0]
-        return AlgebraicElement(e, k, tuple(coeffs[:e]))
+        k = self.k
+        if self.e == 2:
+            a, b = self.coeffs
+            adj, norm = (a, -b), a * a - k * b * b
+        else:
+            a, b, c = self.coeffs
+            adj = (a * a - k * b * c, k * c * c - a * b, b * b - a * c)
+            norm = a ** 3 + k * b ** 3 + k * k * c ** 3 - 3 * k * a * b * c
+        return AlgebraicElement(self.e, k, tuple(x / norm for x in adj))
 
     def __truediv__(self, other: "AlgebraicElement | RatLike") -> "AlgebraicElement":
         return self * self._coerce(other).inverse()
@@ -314,8 +304,7 @@ class AlgebraicElement:
         if self.is_zero():
             return 0
         if self.is_rational():
-            c = self.coeffs[0]
-            return (c > 0) - (c < 0)
+            return sign(self.coeffs[0])
         bits = 64
         while True:
             lo, hi = self.interval(bits)
@@ -336,8 +325,7 @@ class AlgebraicElement:
     def floor_scaled(self, bits: int) -> int:
         """floor(value * 2^bits), exact."""
         if self.is_rational():
-            q = self.coeffs[0] * (1 << bits)
-            return q.numerator // q.denominator
+            return math.floor(self.coeffs[0] * (1 << bits))
         prec = max(64, bits + 16)
         while True:
             lo, hi = self.interval(prec)
@@ -351,17 +339,46 @@ class AlgebraicElement:
         return " + ".join(f"({format_rat(c)})*t^{j}" for j, c in enumerate(self.coeffs))
 
 
-def alg_add(a: AlgebraicElement, b: AlgebraicElement | RatLike) -> AlgebraicElement:
-    return a + b
+# -- one scalar path: helpers shared by rational and algebraic values --------
+
+Scalar = Union[int, Fraction, AlgebraicElement]
+Field = tuple[int, int]
 
 
-def alg_mul(a: AlgebraicElement, b: AlgebraicElement | RatLike) -> AlgebraicElement:
-    return a * b
+def sign(x: Scalar) -> int:
+    """Exact sign of a rational or algebraic scalar: -1, 0, or +1."""
+    if isinstance(x, AlgebraicElement):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
-def alg_neg(a: AlgebraicElement) -> AlgebraicElement:
-    return -a
+def dyadic_floor(x: Scalar, bits: int) -> Fraction:
+    """floor(x * 2^bits) / 2^bits for a rational or algebraic scalar, exact."""
+    if isinstance(x, AlgebraicElement):
+        return Fraction(x.floor_scaled(bits), 1 << bits)
+    return Fraction(math.floor(Fraction(x) * (1 << bits)), 1 << bits)
 
 
-def alg_sign(a: AlgebraicElement) -> int:
-    return a.sign()
+def field_of(values: Iterable[Scalar]) -> Field | None:
+    """The field (e, k) shared by the algebraic entries, or None when all are
+    rational; ValueError when two entries live in different fields."""
+    field = None
+    for x in values:
+        if isinstance(x, AlgebraicElement):
+            if field is None:
+                field = (x.e, x.k)
+            elif (x.e, x.k) != field:
+                raise ValueError("mixed algebraic fields")
+    return field
+
+
+def lift(x: Scalar, field: Field | None) -> Scalar:
+    """x as an element of field; unchanged when field is None or x is algebraic."""
+    if field is None or isinstance(x, AlgebraicElement):
+        return x
+    return AlgebraicElement.from_rational(field[0], field[1], x)
+
+
+def scalars(values: Iterable[Scalar]) -> list:
+    """Coordinates as Fractions, keeping algebraic entries as they are."""
+    return [x if isinstance(x, AlgebraicElement) else Fraction(x) for x in values]

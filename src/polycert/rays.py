@@ -4,15 +4,14 @@ and rationalization of cubically-unbounded rays inside polyhedra."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratcore import AlgebraicElement, PrecisionCapError, precision_cap
-from .polyalg import Polynomial, uni_degree
-from .systems import PolySystem
-from .linear import linear_rows, project_to_nullspace, satisfies
+from .ratcore import dyadic_floor, field_of, precision_cap, refine_dyadic, sign
+from .polyalg import Polynomial, monomial, uni_degree
+from .systems import PolySystem, scalar_to_json
+from .linear import dot, linear_rows, project_to_nullspace, satisfies
 
 DEFAULT_RAY_CAP = 1 << 16
 
@@ -21,14 +20,8 @@ TO_MINUS_INFINITY = "to_minus_infinity"
 BOUNDED_CONSTANT = "bounded_constant"
 
 
-def _sign(v) -> int:
-    if isinstance(v, AlgebraicElement):
-        return v.sign()
-    return (v > 0) - (v < 0)
-
-
 def _is_zero_vec(v: Sequence) -> bool:
-    return all(_sign(c) == 0 for c in v)
+    return all(sign(c) == 0 for c in v)
 
 
 @dataclass(frozen=True)
@@ -43,15 +36,8 @@ class RayClass:
 
     def to_json(self) -> dict:
         out = {"growth_order": self.growth_order, "direction": self.direction}
-        if isinstance(self.leading, AlgebraicElement):
-            out["leading"] = {
-                "e": self.leading.e,
-                "k": self.leading.k,
-                "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.leading.coeffs],
-            }
-        elif self.leading is not None:
-            q = Fraction(self.leading)
-            out["leading"] = f"{q.numerator}/{q.denominator}"
+        if self.leading is not None:
+            out["leading"] = scalar_to_json(self.leading)
         return out
 
 
@@ -62,17 +48,12 @@ def classify_ray(f: Polynomial, x0: Sequence, v: Sequence) -> RayClass:
         raise ValueError("dimension mismatch")
     if _is_zero_vec(v):
         raise ValueError("direction must be nonzero")
-    algebraic = any(isinstance(c, AlgebraicElement) for c in list(x0) + list(v))
-    if algebraic:
-        rest = f.restrict_to_ray_alg(list(x0), list(v))
-    else:
-        rest = f.restrict_to_ray(list(x0), list(v))
+    rest = f.restrict_to_ray(list(x0), list(v))
     order = uni_degree(rest)
-    lead = rest[order] if order < len(rest) else Fraction(0)
+    lead = rest[order]
     if order == 0:
-        return RayClass(0, BOUNDED_CONSTANT, rest[0] if rest else Fraction(0))
-    s = _sign(lead)
-    return RayClass(order, TO_PLUS_INFINITY if s > 0 else TO_MINUS_INFINITY, lead)
+        return RayClass(0, BOUNDED_CONSTANT, lead)
+    return RayClass(order, TO_PLUS_INFINITY if sign(lead) > 0 else TO_MINUS_INFINITY, lead)
 
 
 def cubic_growth_direction(f: Polynomial) -> list[Fraction]:
@@ -91,21 +72,6 @@ def cubic_growth_direction(f: Polynomial) -> list[Fraction]:
         if val < 0:
             return [-c for c in v]
     raise AssertionError("nonzero cubic form vanished on the whole grid")
-
-
-def _floor_coord(value, bits: int) -> Fraction:
-    if isinstance(value, AlgebraicElement):
-        return Fraction(value.floor_scaled(bits), 1 << bits)
-    scaled = Fraction(value) * (1 << bits)
-    return Fraction(math.floor(scaled), 1 << bits)
-
-
-def _row_dot(a: Sequence[Fraction], v: Sequence):
-    total = None
-    for ai, vi in zip(a, v):
-        term = vi * ai
-        total = term if total is None else total + term
-    return total
 
 
 def rationalize_unbounded_ray(
@@ -133,40 +99,36 @@ def rationalize_unbounded_ray(
     if polytope is not None:
         rows = linear_rows(polytope)
         for a, b in rows:
-            if _sign(_row_dot(a, x_bar) - b) > 0:
+            if sign(dot(a, x_bar) - b) > 0:
                 raise ValueError("base point does not satisfy the polytope")
-            if _sign(_row_dot(a, v_bar)) > 0:
+            if sign(dot(a, v_bar)) > 0:
                 raise ValueError("direction is not in the recession cone")
 
-    if all(not isinstance(c, AlgebraicElement) for c in list(x_bar) + list(v_bar)):
+    if field_of(list(x_bar) + list(v_bar)) is None:
         return [Fraction(c) for c in x_bar], [Fraction(c) for c in v_bar]
 
-    cap = precision_cap(DEFAULT_RAY_CAP)
-    k = 8
-    while k <= cap:
-        step = Fraction(1, 1 << k)
-        if step <= eps:
-            x_t = [_floor_coord(c, k) for c in x_bar]
-            v_t = [_floor_coord(c, k) for c in v_bar]
-            if f3.eval(v_t) > 0:
-                if rows is None:
-                    return x_t, v_t
-                if satisfies(rows, x_t):
-                    if all(_row_dot(a, v_t) <= 0 for a, _ in rows):
-                        return x_t, v_t
-                    active = [a for a, _ in rows if _sign(_row_dot(a, v_bar)) == 0]
-                    v_p = project_to_nullspace(v_t, active)
-                    if (
-                        not _is_zero_vec(v_p)
-                        and all(_row_dot(a, v_p) <= 0 for a, _ in rows)
-                    ):
-                        if f3.eval(v_p) > 0:
-                            return x_t, v_p
-                        raise ValueError(
-                            "projection onto the recession cone lost cubic growth (f3 <= 0)"
-                        )
-        k *= 2
-    raise PrecisionCapError(f"no qualifying dyadic pair within {cap} bits")
+    def try_at(k: int) -> tuple[list[Fraction], list[Fraction]] | None:
+        if Fraction(1, 1 << k) > eps:
+            return None
+        x_t = [dyadic_floor(c, k) for c in x_bar]
+        v_t = [dyadic_floor(c, k) for c in v_bar]
+        if f3.eval(v_t) <= 0:
+            return None
+        if rows is None:
+            return x_t, v_t
+        if not satisfies(rows, x_t):
+            return None
+        if all(dot(a, v_t) <= 0 for a, _ in rows):
+            return x_t, v_t
+        active = [a for a, _ in rows if sign(dot(a, v_bar)) == 0]
+        v_p = project_to_nullspace(v_t, active)
+        if _is_zero_vec(v_p) or any(dot(a, v_p) > 0 for a, _ in rows):
+            return None
+        if f3.eval(v_p) > 0:
+            return x_t, v_p
+        raise ValueError("projection onto the recession cone lost cubic growth (f3 <= 0)")
+
+    return refine_dyadic(try_at, precision_cap(DEFAULT_RAY_CAP), "qualifying dyadic pair")
 
 
 def quartic_counterexample() -> Polynomial:
@@ -175,9 +137,9 @@ def quartic_counterexample() -> Polynomial:
     return Polynomial(
         2,
         {
-            (4, 0): Fraction(-1),
-            (2, 1): Fraction(2),
-            (0, 2): Fraction(-1),
-            (0, 1): Fraction(1),
+            monomial(2, (0, 4)): Fraction(-1),
+            monomial(2, (0, 2), (1, 1)): Fraction(2),
+            monomial(2, (1, 2)): Fraction(-1),
+            monomial(2, (1, 1)): Fraction(1),
         },
     )

@@ -25,14 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratcore import (
-    PRECISION_CAP_ENV,
-    AlgebraicElement,
-    PrecisionCapError,
-    integer_nth_root,
-    precision_cap,
-)
-from .polyalg import Polynomial
+from .ratcore import AlgebraicElement, integer_nth_root, precision_cap, refine_dyadic
+from .polyalg import Polynomial, monomial
 from .systems import EQ0, GE0, LE0, PolySystem
 
 Y1_LO = Fraction(1259, 1000)
@@ -112,13 +106,6 @@ def _lit_coord(lit: int, n: int) -> int:
     return lit - 1 if lit > 0 else n + (-lit) - 1
 
 
-def _mono(nv: int, *pairs: tuple[int, int]) -> tuple[int, ...]:
-    e = [0] * nv
-    for idx, exp in pairs:
-        e[idx] += exp
-    return tuple(e)
-
-
 def _check_n(cnf: CnfFormula) -> None:
     if cnf.num_vars < 1:
         raise ValueError("need n >= 1")
@@ -139,45 +126,45 @@ def _common_linear_rows(nv: int, n: int, clauses, ix, igamma, idelta, iy1, iy2):
     rows, the (gamma, Delta) region, and y in R_gamma."""
     rows: list[tuple] = []
     for j in range(2 * n):
-        rows.append((Polynomial(nv, {_mono(nv, (ix + j, 1)): -1, _mono(nv): -1}), LE0))
-        rows.append((Polynomial(nv, {_mono(nv, (ix + j, 1)): 1, _mono(nv): -1}), LE0))
+        rows.append((Polynomial(nv, {monomial(nv, (ix + j, 1)): -1, monomial(nv): -1}), LE0))
+        rows.append((Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv): -1}), LE0))
     for j in range(n):
         rows.append(
-            (Polynomial(nv, {_mono(nv, (ix + j, 1)): 1, _mono(nv, (ix + n + j, 1)): 1}), EQ0)
+            (Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv, (ix + n + j, 1)): 1}), EQ0)
         )
     for cl in clauses:
-        terms = {_mono(nv): Fraction(-1), _mono(nv, (idelta, 1)): Fraction(-1)}
+        terms = {monomial(nv): Fraction(-1), monomial(nv, (idelta, 1)): Fraction(-1)}
         for lit in cl:
-            key = _mono(nv, (ix + _lit_coord(lit, n), 1))
+            key = monomial(nv, (ix + _lit_coord(lit, n), 1))
             terms[key] = terms.get(key, Fraction(0)) - 1
         rows.append((Polynomial(nv, terms), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (igamma, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (idelta, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (idelta, 1)): 1, _mono(nv): -2}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (igamma, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (idelta, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (idelta, 1)): 1, monomial(nv): -2}), LE0))
     rows.append(
-        (Polynomial(nv, {_mono(nv, (idelta, 1)): 1, _mono(nv, (igamma, 1)): Fraction(1, 2), _mono(nv): -2}), LE0)
+        (Polynomial(nv, {monomial(nv, (idelta, 1)): 1, monomial(nv, (igamma, 1)): Fraction(1, 2), monomial(nv): -2}), LE0)
     )
     rows.append(
-        (Polynomial(nv, {_mono(nv, (iy1, 1)): -1, _mono(nv, (igamma, 1)): -1, _mono(nv): Y1_LO}), LE0)
+        (Polynomial(nv, {monomial(nv, (iy1, 1)): -1, monomial(nv, (igamma, 1)): -1, monomial(nv): Y1_LO}), LE0)
     )
-    rows.append((Polynomial(nv, {_mono(nv, (iy1, 1)): 1, _mono(nv): -Y1_HI}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (iy2, 1)): -1, _mono(nv): Y2_LO}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (iy2, 1)): 1, _mono(nv): -Y2_HI}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (iy1, 1)): 1, monomial(nv): -Y1_HI}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (iy2, 1)): -1, monomial(nv): Y2_LO}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (iy2, 1)): 1, monomial(nv): -Y2_HI}), LE0))
     return rows
 
 
 def _d_chain_rows(nv: int, n: int, id0: int, is_: int):
     """0 <= d_1 <= 1/2; 0 <= d_k <= d_{k-1}^2; 0 <= s <= d_n^2."""
     rows: list[tuple] = []
-    rows.append((Polynomial(nv, {_mono(nv, (id0, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (id0, 1)): 1, _mono(nv): Fraction(-1, 2)}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (id0, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (id0, 1)): 1, monomial(nv): Fraction(-1, 2)}), LE0))
     for k in range(1, n):
-        rows.append((Polynomial(nv, {_mono(nv, (id0 + k, 1)): -1}), LE0))
+        rows.append((Polynomial(nv, {monomial(nv, (id0 + k, 1)): -1}), LE0))
         rows.append(
-            (Polynomial(nv, {_mono(nv, (id0 + k, 1)): 1, _mono(nv, (id0 + k - 1, 2)): -1}), LE0)
+            (Polynomial(nv, {monomial(nv, (id0 + k, 1)): 1, monomial(nv, (id0 + k - 1, 2)): -1}), LE0)
         )
-    rows.append((Polynomial(nv, {_mono(nv, (is_, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (is_, 1)): 1, _mono(nv, (id0 + n - 1, 2)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (is_, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (is_, 1)): 1, monomial(nv, (id0 + n - 1, 2)): -1}), LE0))
     return rows
 
 
@@ -197,28 +184,28 @@ def build_np_hard_system(cnf: CnfFormula, quadratize: bool = False) -> PolySyste
     if quadratize:
         iy12, iy22 = 3 * n + 5, 3 * n + 6
         rows.append(
-            (Polynomial(nv, {_mono(nv, (iy12, 1)): 1, _mono(nv, (iy1, 2)): -1}), EQ0, "nonlinear")
+            (Polynomial(nv, {monomial(nv, (iy12, 1)): 1, monomial(nv, (iy1, 2)): -1}), EQ0, "nonlinear")
         )
         rows.append(
-            (Polynomial(nv, {_mono(nv, (iy22, 1)): 1, _mono(nv, (iy2, 2)): -1}), EQ0, "nonlinear")
+            (Polynomial(nv, {monomial(nv, (iy22, 1)): 1, monomial(nv, (iy2, 2)): -1}), EQ0, "nonlinear")
         )
         nasty_terms = {
-            _mono(nv, (iy12, 1), (iy1, 1)): Fraction(2),
-            _mono(nv, (iy22, 1), (iy2, 1)): Fraction(1),
-            _mono(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-            _mono(nv): Fraction(4) + n6,
-            _mono(nv, (is_, 1)): Fraction(-1),
+            monomial(nv, (iy12, 1), (iy1, 1)): Fraction(2),
+            monomial(nv, (iy22, 1), (iy2, 1)): Fraction(1),
+            monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
+            monomial(nv): Fraction(4) + n6,
+            monomial(nv, (is_, 1)): Fraction(-1),
         }
     else:
         nasty_terms = {
-            _mono(nv, (iy1, 3)): Fraction(2),
-            _mono(nv, (iy2, 3)): Fraction(1),
-            _mono(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-            _mono(nv): Fraction(4) + n6,
-            _mono(nv, (is_, 1)): Fraction(-1),
+            monomial(nv, (iy1, 3)): Fraction(2),
+            monomial(nv, (iy2, 3)): Fraction(1),
+            monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
+            monomial(nv): Fraction(4) + n6,
+            monomial(nv, (is_, 1)): Fraction(-1),
         }
     for j in range(n):
-        nasty_terms[_mono(nv, (ix + j, 2))] = -n5
+        nasty_terms[monomial(nv, (ix + j, 2))] = -n5
     rows.append((Polynomial(nv, nasty_terms), LE0))
     return PolySystem(nv, rows, _np_hard_names(n, quadratize))
 
@@ -233,13 +220,13 @@ def build_cubic_system(cnf: CnfFormula) -> PolySystem:
     n5 = Fraction(n) ** 5
     n6 = Fraction(n) ** 6
     terms = {
-        _mono(nv, (iy1, 3)): Fraction(2),
-        _mono(nv, (iy2, 3)): Fraction(1),
-        _mono(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-        _mono(nv): Fraction(4) + n6,
+        monomial(nv, (iy1, 3)): Fraction(2),
+        monomial(nv, (iy2, 3)): Fraction(1),
+        monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
+        monomial(nv): Fraction(4) + n6,
     }
     for j in range(n):
-        terms[_mono(nv, (ix + j, 2))] = -n5
+        terms[monomial(nv, (ix + j, 2))] = -n5
     rows.append((Polynomial(nv, terms), LE0))
     names = [f"x{j}" for j in range(1, 2 * n + 1)] + ["gamma", "Delta", "y1", "y2"]
     return PolySystem(nv, rows, names)
@@ -269,11 +256,11 @@ def build_superopt_problem(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
             Polynomial(
                 nv,
                 {
-                    _mono(nv, (iz1, 2)): -1,
-                    _mono(nv, (iz1, 1)): 2,
-                    _mono(nv, (iz2, 2)): -1,
-                    _mono(nv): 4,
-                    _mono(nv, (is_, 1)): 1,
+                    monomial(nv, (iz1, 2)): -1,
+                    monomial(nv, (iz1, 1)): 2,
+                    monomial(nv, (iz2, 2)): -1,
+                    monomial(nv): 4,
+                    monomial(nv, (is_, 1)): 1,
                 },
             ),
             LE0,
@@ -286,10 +273,10 @@ def build_superopt_problem(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
             Polynomial(
                 nv,
                 {
-                    _mono(nv, (iz1, 2)): -1,
-                    _mono(nv, (iz1, 1)): -2,
-                    _mono(nv, (iz2, 2)): -1,
-                    _mono(nv): 4,
+                    monomial(nv, (iz1, 2)): -1,
+                    monomial(nv, (iz1, 1)): -2,
+                    monomial(nv, (iz2, 2)): -1,
+                    monomial(nv): 4,
                 },
             ),
             LE0,
@@ -301,13 +288,13 @@ def build_superopt_problem(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
         (
             Polynomial(
                 nv,
-                {_mono(nv, (iz1, 2)): Fraction(1, 10), _mono(nv, (iz2, 2)): 1, _mono(nv): -4},
+                {monomial(nv, (iz1, 2)): Fraction(1, 10), monomial(nv, (iz2, 2)): 1, monomial(nv): -4},
             ),
             LE0,
             "nonlinear",
         )
     )
-    rows.append((Polynomial(nv, {_mono(nv, (iz2, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (iz2, 1)): -1}), LE0))
     objective = Polynomial.variable(nv, iz2)
     names = list(_np_hard_names(n, False)) + ["z1", "z2"]
     return PolySystem(nv, rows, names, objective=objective), objective
@@ -324,35 +311,35 @@ def build_unbounded_instance(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
     rows: list[tuple] = []
     for j in range(2 * n):
         rows.append(
-            (Polynomial(nv, {_mono(nv, (ix + j, 1)): -1, _mono(nv, (iy3, 1)): -1}), LE0)
+            (Polynomial(nv, {monomial(nv, (ix + j, 1)): -1, monomial(nv, (iy3, 1)): -1}), LE0)
         )
         rows.append(
-            (Polynomial(nv, {_mono(nv, (ix + j, 1)): 1, _mono(nv, (iy3, 1)): -1}), LE0)
+            (Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv, (iy3, 1)): -1}), LE0)
         )
     for j in range(n):
         rows.append(
-            (Polynomial(nv, {_mono(nv, (ix + j, 1)): 1, _mono(nv, (ix + n + j, 1)): 1}), EQ0)
+            (Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv, (ix + n + j, 1)): 1}), EQ0)
         )
-    rows.append((Polynomial(nv, {_mono(nv, (iy3, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (iy3, 1)): -1}), LE0))
     for cl in cnf.clauses:
         terms = {
-            _mono(nv, (iy3, 1)): Fraction(-1),
-            _mono(nv, (idelta, 1)): Fraction(-1),
+            monomial(nv, (iy3, 1)): Fraction(-1),
+            monomial(nv, (idelta, 1)): Fraction(-1),
         }
         for lit in cl:
-            key = _mono(nv, (ix + _lit_coord(lit, n), 1))
+            key = monomial(nv, (ix + _lit_coord(lit, n), 1))
             terms[key] = terms.get(key, Fraction(0)) - 1
         rows.append((Polynomial(nv, terms), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (igamma, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {_mono(nv, (idelta, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (igamma, 1)): -1}), LE0))
+    rows.append((Polynomial(nv, {monomial(nv, (idelta, 1)): -1}), LE0))
     rows.append(
-        (Polynomial(nv, {_mono(nv, (idelta, 1)): 1, _mono(nv, (iy3, 1)): -2}), LE0)
+        (Polynomial(nv, {monomial(nv, (idelta, 1)): 1, monomial(nv, (iy3, 1)): -2}), LE0)
     )
     rows.append(
         (
             Polynomial(
                 nv,
-                {_mono(nv, (idelta, 1)): 1, _mono(nv, (igamma, 1)): Fraction(1, 2), _mono(nv, (iy3, 1)): -2},
+                {monomial(nv, (idelta, 1)): 1, monomial(nv, (igamma, 1)): Fraction(1, 2), monomial(nv, (iy3, 1)): -2},
             ),
             LE0,
         )
@@ -361,31 +348,31 @@ def build_unbounded_instance(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
         (
             Polynomial(
                 nv,
-                {_mono(nv, (iy3, 1)): Y1_LO, _mono(nv, (igamma, 1)): -1, _mono(nv, (iy1, 1)): -1},
+                {monomial(nv, (iy3, 1)): Y1_LO, monomial(nv, (igamma, 1)): -1, monomial(nv, (iy1, 1)): -1},
             ),
             LE0,
         )
     )
     rows.append(
-        (Polynomial(nv, {_mono(nv, (iy1, 1)): 1, _mono(nv, (iy3, 1)): -Y1_HI}), LE0)
+        (Polynomial(nv, {monomial(nv, (iy1, 1)): 1, monomial(nv, (iy3, 1)): -Y1_HI}), LE0)
     )
     rows.append(
-        (Polynomial(nv, {_mono(nv, (iy3, 1)): Y2_LO, _mono(nv, (iy2, 1)): -1}), LE0)
+        (Polynomial(nv, {monomial(nv, (iy3, 1)): Y2_LO, monomial(nv, (iy2, 1)): -1}), LE0)
     )
     rows.append(
-        (Polynomial(nv, {_mono(nv, (iy2, 1)): 1, _mono(nv, (iy3, 1)): -Y2_HI}), LE0)
+        (Polynomial(nv, {monomial(nv, (iy2, 1)): 1, monomial(nv, (iy3, 1)): -Y2_HI}), LE0)
     )
     n5 = Fraction(n) ** 5
     n6 = Fraction(n) ** 6
     pi_terms = {
-        _mono(nv, (iy3, 3)): -n6 - 4,
-        _mono(nv, (iy1, 3)): Fraction(-2),
-        _mono(nv, (iy2, 3)): Fraction(-1),
-        _mono(nv, (iy1, 1), (iy2, 1), (iy3, 1)): Fraction(6),
-        _mono(nv, (iy1, 1), (iy3, 1)): Fraction(1),
+        monomial(nv, (iy3, 3)): -n6 - 4,
+        monomial(nv, (iy1, 3)): Fraction(-2),
+        monomial(nv, (iy2, 3)): Fraction(-1),
+        monomial(nv, (iy1, 1), (iy2, 1), (iy3, 1)): Fraction(6),
+        monomial(nv, (iy1, 1), (iy3, 1)): Fraction(1),
     }
     for j in range(n):
-        pi_terms[_mono(nv, (ix + j, 2), (iy3, 1))] = n5
+        pi_terms[monomial(nv, (ix + j, 2), (iy3, 1))] = n5
     pi = Polynomial(nv, pi_terms)
     names = [f"x{j}" for j in range(1, 2 * n + 1)] + ["y1", "y2", "y3", "Delta", "gamma"]
     return PolySystem(nv, rows, names, objective=pi), pi
@@ -426,9 +413,8 @@ def find_y_hat(bound: Fraction) -> tuple[Fraction, Fraction]:
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    cap = precision_cap(DEFAULT_PRECISION_CAP)
-    k = 8
-    while True:
+
+    def try_at(k: int) -> tuple[Fraction, Fraction] | None:
         scale = Fraction(1, 1 << k)
         y1 = integer_nth_root(2 << (3 * k), 3) * scale
         y2 = integer_nth_root(4 << (3 * k), 3) * scale
@@ -438,11 +424,10 @@ def find_y_hat(bound: Fraction) -> tuple[Fraction, Fraction]:
             and _h_value(y1, y2) <= bound
         ):
             return y1, y2
-        if k >= cap:
-            raise PrecisionCapError(
-                f"no dyadic point met h <= {bound} within {cap} fractional bits"
-            )
-        k *= 2
+        return None
+
+    cap = precision_cap(DEFAULT_PRECISION_CAP)
+    return refine_dyadic(try_at, cap, f"dyadic point met h <= {bound}")
 
 
 def witness_always(cnf: CnfFormula) -> list[Fraction]:

@@ -16,14 +16,17 @@ from typing import Sequence
 
 from .ratcore import (
     AlgebraicElement,
-    PrecisionCapError,
     Rat,
+    dyadic_floor,
     encoding_size_vec,
+    format_rat,
     precision_cap,
     rational_sqrt,
+    refine_dyadic,
+    sign,
     squarefree_split,
 )
-from .polyalg import Polynomial, uni_derivative, uni_eval
+from .polyalg import Polynomial, monomial, uni_derivative, uni_eval
 from .systems import PolySystem
 from .linear import enumerate_vertices, linear_rows, recession_ray, satisfies
 from . import bounds
@@ -59,12 +62,10 @@ class SeparableCubic:
         for i, (a, b, c, d) in enumerate(self.coeffs):
             for exp, coef in ((3, a), (2, b), (1, c)):
                 if coef:
-                    e = [0] * nv
-                    e[i] = exp
-                    terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + coef
+                    terms[monomial(nv, (i, exp))] = coef
             const += d
         if const:
-            terms[tuple([0] * nv)] = const
+            terms[monomial(nv)] = const
         return Polynomial(nv, terms)
 
     def univariate(self, i: int) -> list[Fraction]:
@@ -75,7 +76,7 @@ class SeparableCubic:
         return {
             "n": self.n,
             "coeffs": [
-                [f"{v.numerator}/{v.denominator}" for v in quad] for quad in self.coeffs
+                [format_rat(v) for v in quad] for quad in self.coeffs
             ],
         }
 
@@ -248,7 +249,7 @@ class RadicalSum:
 
     def sign(self) -> int:
         if not self.parts:
-            return (self.rational > 0) - (self.rational < 0)
+            return sign(self.rational)
         bits = 32
         while True:
             lo = hi = self.rational
@@ -286,14 +287,6 @@ def _quad_value(rho0: Fraction, rho1: Fraction, core: int):
     return AlgebraicElement(2, core, (rho0, rho1))
 
 
-def _floor_scaled(value, bits: int) -> Fraction:
-    """floor(value * 2^bits) / 2^bits for Fraction or quadratic elements."""
-    if isinstance(value, AlgebraicElement):
-        return Fraction(value.floor_scaled(bits), 1 << bits)
-    scaled = Fraction(value) * (1 << bits)
-    return Fraction(math.floor(scaled), 1 << bits)
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of solve_separable: a verified rational point, a certified
@@ -313,7 +306,7 @@ class SolveResult:
         out: dict = {"status": self.status}
         if self.point is not None:
             out["point"] = {
-                "values": [f"{v.numerator}/{v.denominator}" for v in self.point]
+                "values": [format_rat(v) for v in self.point]
             }
             out["size_bits"] = self.size_bits
         if self.note:
@@ -362,24 +355,11 @@ def _derivative_roots(p: list[Fraction]):
             _quad_value(base, abs(spread), core),
         ]
         if core == 1 or spread == 0:
-            vals = sorted(set(Fraction(r) if not isinstance(r, AlgebraicElement) else r for r in roots))
-            return [(v, True) for v in vals]
+            return [(v, True) for v in sorted(set(roots))]
         return [(roots[0], False), (roots[1], False)]
     if len(dp) == 2:
         return [(-dp[0] / dp[1], True)]
     return []
-
-
-def _between_01(t) -> bool:
-    if isinstance(t, AlgebraicElement):
-        return t.compare(Fraction(0)) > 0 and t.compare(Fraction(1)) < 0
-    return 0 < t < 1
-
-
-def _scalar_sign(v) -> int:
-    if isinstance(v, AlgebraicElement):
-        return v.sign()
-    return (v > 0) - (v < 0)
 
 
 def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
@@ -415,40 +395,27 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
         if g.eval(list(v)) <= 0:
             return _result_point(list(v))
 
-    def refine_on_edge(v0, v1, p, t_star) -> SolveResult | None:
-        k = 8
-        while k <= cap:
-            t = _floor_scaled(t_star, k)
-            if t < 0:
-                t = Fraction(0)
-            if t > 1:
-                t = Fraction(1)
-            if uni_eval(p, t) <= 0:
-                x = [a + t * (b - a) for a, b in zip(v0, v1)]
-                return _result_point(x)
-            k *= 2
-        raise PrecisionCapError(f"no dyadic point with f <= 0 within {cap} bits on an edge")
-
     if n == 2:
         for v0, v1 in _edges_of(rows, verts):
             direction = [b - a for a, b in zip(v0, v1)]
             p = g.restrict_to_ray(list(v0), direction)
             for t_star, is_rat in _derivative_roots(p):
-                if not _between_01(t_star):
+                if not (sign(t_star) > 0 and sign(t_star - 1) < 0):
                     continue
-                if is_rat:
-                    val = uni_eval(p, Fraction(t_star))
-                    if val <= 0:
-                        x = [a + Fraction(t_star) * (b - a) for a, b in zip(v0, v1)]
-                        return _result_point(x)
-                else:
-                    s = _scalar_sign(uni_eval(p, t_star))
-                    if s < 0:
-                        hit = refine_on_edge(v0, v1, p, t_star)
-                        if hit:
-                            return hit
-                    elif s == 0:
-                        zero_note = "minimum 0 attained at an irrational edge point"
+                s = sign(uni_eval(p, t_star))
+                if is_rat and s <= 0:
+                    return _result_point([a + t_star * (b - a) for a, b in zip(v0, v1)])
+                if s < 0:
+
+                    def try_at(k: int) -> SolveResult | None:
+                        t = min(max(dyadic_floor(t_star, k), Fraction(0)), Fraction(1))
+                        if uni_eval(p, t) <= 0:
+                            return _result_point([a + t * (b - a) for a, b in zip(v0, v1)])
+                        return None
+
+                    return refine_dyadic(try_at, cap, "dyadic point with f <= 0 on an edge")
+                if s == 0:
+                    zero_note = "minimum 0 attained at an irrational edge point"
 
     # interior critical point (the per-coordinate local-minimum branch)
     shifted = tartaglia_shift(sc)
@@ -458,46 +425,43 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
         if cr is None:
             interior = None
             break
-        q, sign = cr
+        q, branch = cr
         m, core = _sqrt_parts(q)
         b = sc.coeffs[i][1]
-        interior.append((Fraction(-b, 1) / (3 * a), Fraction(sign) * m, core, q, sign))
+        interior.append((Fraction(-b, 1) / (3 * a), Fraction(branch) * m, core, q, branch))
     if interior is not None:
         inside = True
         for arow, brhs in rows:
             rs = RadicalSum().add_rational(-brhs)
-            for j, (base, _, _, q, sign) in enumerate(interior):
+            for j, (base, _, _, q, branch) in enumerate(interior):
                 rs.add_rational(arow[j] * base)
-                rs.add_sqrt(arow[j] * sign, q)
+                rs.add_sqrt(arow[j] * branch, q)
             if rs.sign() > 0:
                 inside = False
                 break
         if inside:
             value = RadicalSum()
             for i, (a, ct, dt) in enumerate(shifted.terms):
-                q, sign = interior[i][3], interior[i][4]
+                q, branch = interior[i][3], interior[i][4]
                 value.add_rational(dt)
-                value.add_sqrt(Fraction(2, 3) * ct * sign, q)
+                value.add_sqrt(Fraction(2, 3) * ct * branch, q)
             vsign = value.sign()
+            coords = [_quad_value(base, coef, core) for base, coef, core, _, _ in interior]
             if vsign < 0:
-                coords = [
-                    _quad_value(base, coef, core)
-                    for base, coef, core, _, _ in interior
-                ]
-                k = 8
-                while k <= cap:
-                    x = [_floor_scaled(c, k) for c in coords]
+
+                def try_at(k: int) -> SolveResult | None:
+                    x = [dyadic_floor(c, k) for c in coords]
                     if satisfies(rows, x) and g.eval(x) <= 0:
                         return _result_point(x)
-                    k *= 2
-                raise PrecisionCapError(
-                    f"no dyadic point with f <= 0 within {cap} bits near the interior minimizer"
+                    return None
+
+                return refine_dyadic(
+                    try_at, cap, "dyadic point with f <= 0 near the interior minimizer"
                 )
             if vsign == 0:
                 if all(core == 1 for _, _, core, _, _ in interior):
-                    x = [base + coef for base, coef, _, _, _ in interior]
-                    if satisfies(rows, x) and g.eval(x) <= 0:
-                        return _result_point(x)
+                    if satisfies(rows, coords) and g.eval(coords) <= 0:
+                        return _result_point(coords)
                 else:
                     zero_note = "minimum 0 attained only at an irrational interior point"
 

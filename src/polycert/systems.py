@@ -16,16 +16,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
-from .ratcore import AlgebraicElement, RatLike, format_rat, parse_rat
+from .ratcore import (
+    AlgebraicElement,
+    RatLike,
+    Scalar,
+    field_of,
+    format_rat,
+    lift,
+    parse_rat,
+    scalars,
+    sign,
+)
 from .polyalg import Polynomial
 
 LE0 = "LE0"
 EQ0 = "EQ0"
 GE0 = "GE0"  # accepted at construction, normalized to LE0 by negation
-
-Scalar = Union[Fraction, AlgebraicElement]
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,13 @@ class PolySystem:
         return cls.from_json(json.loads(text))
 
 
+def scalar_to_json(v: Scalar):
+    """"num/den" for a rational, {"e", "k", "coeffs"} for a field element."""
+    if isinstance(v, AlgebraicElement):
+        return {"e": v.e, "k": v.k, "coeffs": [format_rat(c) for c in v.coeffs]}
+    return format_rat(v)
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Exact verification outcome: residual of every row and the worst violation.
@@ -172,80 +187,48 @@ class Verdict:
     violated: tuple[int, ...] = field(default=())
 
     def to_json(self) -> dict:
-        def enc(v):
-            if isinstance(v, AlgebraicElement):
-                return {"e": v.e, "k": v.k, "coeffs": [format_rat(c) for c in v.coeffs]}
-            return format_rat(v)
-
         return {
             "feasible": self.feasible,
-            "worst_violation": enc(self.worst_violation),
-            "residuals": [enc(r) for r in self.residuals],
+            "worst_violation": scalar_to_json(self.worst_violation),
+            "residuals": [scalar_to_json(r) for r in self.residuals],
             "violated": list(self.violated),
         }
 
 
-def _sign_of(v: Scalar) -> int:
-    if isinstance(v, AlgebraicElement):
-        return v.sign()
-    return (v > 0) - (v < 0)
-
-
 def _violation(residual: Scalar, rel: str) -> Scalar:
-    s = _sign_of(residual)
+    s = sign(residual)
     if rel == LE0:
         return residual if s > 0 else Fraction(0)
     return -residual if s < 0 else residual
 
 
 def _max_scalar(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, AlgebraicElement) or isinstance(b, AlgebraicElement):
-        if not isinstance(a, AlgebraicElement):
-            a = AlgebraicElement.from_rational(b.e, b.k, a)
-        if not isinstance(b, AlgebraicElement):
-            b = AlgebraicElement.from_rational(a.e, a.k, b)
-        return b if (b - a).sign() > 0 else a
-    return max(a, b)
+    """The larger of a and b (a on ties), lifted to the field of either."""
+    return lift(b if b > a else a, field_of((a, b)))
 
 
-def verify(sys_: PolySystem, x: Sequence[RatLike]) -> Verdict:
-    """Exact feasibility check of a rational point."""
+def verify(sys_: PolySystem, x: Sequence[Scalar]) -> Verdict:
+    """Exact feasibility check of a point with rational coordinates or
+    coordinates in one field Q[t]/(t^e - k); residuals lie in the point's
+    field if it has one."""
     if len(x) != sys_.num_vars:
         raise ValueError("point dimension mismatch")
-    pt = [Fraction(v) for v in x]
+    pt = scalars(x)
+    ext = field_of(pt)
     residuals = []
     worst: Scalar = Fraction(0)
     violated = []
     for i, c in enumerate(sys_.constraints):
-        r = c.poly.eval(pt)
+        r = lift(c.poly.eval_scalars(pt), ext)
         residuals.append(r)
         v = _violation(r, c.rel)
-        if _sign_of(v) > 0:
+        if sign(v) > 0:
             violated.append(i)
         worst = _max_scalar(worst, v)
-    return Verdict(_sign_of(worst) == 0, tuple(residuals), worst, tuple(violated))
+    return Verdict(sign(worst) == 0, tuple(residuals), worst, tuple(violated))
 
 
-def verify_alg(sys_: PolySystem, x: Sequence[Scalar]) -> Verdict:
-    """Exact feasibility check of a point with coordinates in one Q[t]/(t^e - k)."""
-    if len(x) != sys_.num_vars:
-        raise ValueError("point dimension mismatch")
-    fields = {(v.e, v.k) for v in x if isinstance(v, AlgebraicElement)}
-    if len(fields) > 1:
-        raise ValueError("mixed algebraic fields in point")
-    if not fields:
-        return verify(sys_, x)
-    residuals = []
-    worst: Scalar = Fraction(0)
-    violated = []
-    for i, c in enumerate(sys_.constraints):
-        r = c.poly.eval_alg(list(x))
-        residuals.append(r)
-        v = _violation(r, c.rel)
-        if _sign_of(v) > 0:
-            violated.append(i)
-        worst = _max_scalar(worst, v)
-    return Verdict(_sign_of(worst) == 0, tuple(residuals), worst, tuple(violated))
+verify_alg = verify  # former algebraic-only name, kept for callers
 
 
 def infeasibility(sys_: PolySystem, x: Sequence[RatLike]) -> Fraction:
@@ -275,19 +258,11 @@ def relax(sys_: PolySystem, delta: int) -> PolySystem:
 
 
 def point_to_json(x: Sequence[Scalar]) -> dict:
-    algs = [v for v in x if isinstance(v, AlgebraicElement)]
-    if not algs:
+    ext = field_of(x)
+    if ext is None:
         return {"values": [format_rat(v) for v in x]}
-    e, k = algs[0].e, algs[0].k
-    if any((v.e, v.k) != (e, k) for v in algs):
-        raise ValueError("mixed algebraic fields in point")
-    rows = []
-    for v in x:
-        if isinstance(v, AlgebraicElement):
-            rows.append([format_rat(c) for c in v.coeffs])
-        else:
-            rows.append([format_rat(v)] + ["0/1"] * (e - 1))
-    return {"e": e, "k": k, "values": rows}
+    rows = [[format_rat(c) for c in lift(v, ext).coeffs] for v in x]
+    return {"e": ext[0], "k": ext[1], "values": rows}
 
 
 def point_from_json(data: dict) -> list:

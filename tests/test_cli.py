@@ -4,11 +4,13 @@ Every test drives ``main(argv)`` directly and inspects the JSON run
 report on stdout, the diagnostics on stderr, and the exit code.
 """
 
+import decimal
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from polycert.bounds import delta_bound
 from polycert.cli import main
 from polycert.polyalg import Polynomial
 from polycert.systems import LE0, PolySystem, point_from_json, point_to_json
@@ -197,6 +199,17 @@ class TestGadget:
         code, report, _ = run(capsys, ["gadget", "--name", "mystery"])
         assert code == 2
         assert report is None
+
+    @pytest.mark.parametrize(
+        "name,param,value",
+        [("tiny", "n=14", F(1, 2 ** 2 ** 14)), ("khachiyan", "n=15", F(2 ** 2 ** 14))],
+    )
+    def test_values_past_int_str_digit_limit_are_written_exactly(self, capsys, name, param, value):
+        code, report, _ = run(capsys, ["gadget", "--name", name, "--param", param])
+        assert code == 0
+        written = [v for lm in report["outputs"]["landmarks"] for v in lm["point"]["values"]]
+        num, den = (decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
+        assert f"{num}/{den}" in written
 
     def test_sigma_param_takes_a_fraction(self, capsys):
         code, report, _ = run(
@@ -604,6 +617,20 @@ class TestRay:
         assert code == 1
         assert "bits" in report["outputs"]["error"]
 
+    def test_malformed_precision_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("POLYCERT_PRECISION_CAP", "abc")
+        f = Polynomial(2, {(3, 0): F(1)})
+        poly = write_json(tmp_path / "f.json", f.to_json())
+        frm = write_json(tmp_path / "x.json", point_to_json([F(0), F(0)]))
+        dr = write_json(tmp_path / "v.json", point_to_json([AlgebraicElement.root(2, 2), F(0)]))
+        code, report, err = run(
+            capsys,
+            ["ray", "--poly", poly, "--from", frm, "--dir", dr, "--rationalize", "1/10"],
+        )
+        assert code == 2
+        assert report is None
+        assert "POLYCERT_PRECISION_CAP" in err
+
 
 class TestBounds:
     def test_report_for_small_shape(self, capsys):
@@ -637,3 +664,14 @@ class TestBounds:
         assert int(loose["outputs"]["bounds"]["delta"]) >= int(
             exact["outputs"]["bounds"]["delta"]
         )
+
+    def test_delta_past_int_str_digit_limit_is_reported_exactly(self, capsys):
+        code, report, _ = run(
+            capsys,
+            ["bounds", "--n", "3", "--m", "1", "--ell", "1", "--d", "4", "--H", "1"],
+        )
+        assert code == 0
+        delta = delta_bound(3, 1, 4, 1)
+        b = report["outputs"]["bounds"]
+        assert decimal.Decimal(b["delta"]) == decimal.Decimal(delta)
+        assert b["delta_bits"] == delta.bit_length()

@@ -99,6 +99,15 @@ class TestRecession:
         ray = recession_ray(rows, 2)
         assert ray is not None and all(c >= 0 for c in ray)
 
+    def test_more_than_three_dimensions_rejected(self):
+        """{|x1|, |x2|, |x3| <= 1, x4 >= 0, x4 >= -x1} is unbounded along e4;
+        3-D cross products of normals cannot find that ray."""
+        rows = rows_box(3, -1, 1)
+        rows = [(a + (F(0),), b) for a, b in rows]
+        rows += [((F(0), F(0), F(0), F(-1)), F(0)), ((F(-1), F(0), F(0), F(-1)), F(0))]
+        with pytest.raises(ValueError):
+            recession_ray(rows, 4)
+
 
 class TestRowHelpers:
     def test_row_polynomial(self):

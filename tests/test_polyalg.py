@@ -28,6 +28,14 @@ def poly_strategy(n, max_deg=3, max_terms=5):
 
 
 points = st.tuples(coeffs, coeffs)
+fields = st.sampled_from([(3, 2), (3, 5), (2, 2), (2, 3), (2, 7)])
+# which coordinates to embed; at least one, up to all
+masks = st.tuples(st.booleans(), st.booleans()).filter(any)
+
+
+def embed(point, field, mask):
+    """The rational point with the masked coordinates written as field elements."""
+    return [AlgebraicElement.from_rational(*field, x) if m else x for x, m in zip(point, mask)]
 
 
 class TestConstruction:
@@ -107,6 +115,16 @@ class TestCalculusAndStructure:
         coeff = p.restrict_to_ray(x0, v)
         moved = [x + lam * d for x, d in zip(x0, v)]
         assert uni_eval(coeff, lam) == p.eval(moved)
+
+    @settings(max_examples=40)
+    @given(poly_strategy(2), points, points, fields, masks, masks)
+    def test_embedded_rational_data_gives_lifted_results(self, p, x0, v, field, m0, m1):
+        """eval and restrict_to_ray at field-embedded rational data equal the
+        rational results lifted into the field."""
+        up = lambda q: AlgebraicElement.from_rational(*field, q)
+        assert p.eval(embed(x0, field, m0)) == up(p.eval(x0))
+        rest = p.restrict_to_ray(embed(x0, field, m0), embed(v, field, m1))
+        assert rest == [up(c) for c in p.restrict_to_ray(x0, v)]
 
     def test_restriction_with_algebraic_direction(self):
         t = AlgebraicElement.root(3, 2)

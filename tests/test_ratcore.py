@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from polycert.ratcore import (
     AlgebraicElement,
     PRECISION_CAP_ENV,
+    PrecisionCapError,
+    dyadic_floor,
     encoding_size,
     encoding_size_vec,
+    field_of,
+    format_int,
     format_rat,
     integer_nth_root,
+    lift,
     parse_rat,
     precision_cap,
     rational_sqrt,
+    refine_dyadic,
     squarefree_split,
     theta_enclosure,
 )
@@ -45,6 +51,11 @@ class TestRationalCodec:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             parse_rat("one half")
+
+    def test_format_past_int_str_digit_limit(self):
+        """str() refuses integers of more than 4300 digits by default."""
+        assert format_int(10 ** 5000) == "1" + "0" * 5000
+        assert format_rat(Fraction(-1, 10 ** 5000)) == "-1/1" + "0" * 5000
 
 
 class TestEncodingSize:
@@ -189,6 +200,19 @@ class TestAlgebraicElement:
         with pytest.raises(ValueError):
             AlgebraicElement.root(2, 1)
 
+    def test_dyadic_floor_of_rational_and_algebraic(self):
+        assert dyadic_floor(Fraction(-1, 3), 2) == Fraction(-2, 4)
+        assert dyadic_floor(AlgebraicElement.root(3, 2), 3) == Fraction(10, 8)
+
+    def test_field_of_and_lift(self):
+        t = AlgebraicElement.root(3, 2)
+        assert field_of([Fraction(1), 2]) is None
+        assert field_of([Fraction(1), t, t * t]) == (3, 2)
+        with pytest.raises(ValueError):
+            field_of([t, AlgebraicElement.root(2, 2)])
+        assert lift(Fraction(1, 2), (3, 2)) == AlgebraicElement.from_rational(3, 2, Fraction(1, 2))
+        assert lift(Fraction(1, 2), None) == Fraction(1, 2)
+
 
 small_coeffs = st.tuples(
     st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6),
@@ -238,3 +262,12 @@ class TestPrecisionCap:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(PRECISION_CAP_ENV, "64")
         assert precision_cap(512) == 64
+
+    def test_refine_dyadic_doubles_while_within_cap(self):
+        tried = []
+        with pytest.raises(PrecisionCapError, match="no target within 100 bits"):
+            refine_dyadic(tried.append, 100, "target")
+        assert tried == [8, 16, 32, 64]
+
+    def test_refine_dyadic_returns_first_hit(self):
+        assert refine_dyadic(lambda k: k if k >= 32 else None, 1 << 16, "target") == 32

@@ -226,6 +226,12 @@ class TestFindYHat:
         with pytest.raises(PrecisionCapError):
             find_y_hat(F(1, 2 ** 200))
 
+    def test_no_step_past_a_cap_between_powers_of_two(self, monkeypatch):
+        """k = 8 misses the box and k = 16 would pass, but 16 exceeds a cap of 12."""
+        monkeypatch.setenv(PRECISION_CAP_ENV, "12")
+        with pytest.raises(PrecisionCapError):
+            find_y_hat(F(1))
+
 
 class TestEpsilonWitness:
     def test_violation_confined_to_coupling_row(self):

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycert.polyalg import Polynomial, uni_eval
-from polycert.ratcore import encoding_size_vec
+from polycert.ratcore import AlgebraicElement, encoding_size_vec, sign
 from polycert.systems import LE0, PolySystem
 from polycert.linear import linear_rows, satisfies
 from polycert.separable import (
@@ -132,6 +134,17 @@ class TestRadicalSum:
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             RadicalSum().add_sqrt(1, -1)
+
+    @settings(max_examples=80)
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
+    )
+    def test_agrees_with_field_sign(self, c0, c1, k):
+        """ratcore.sign of c0 + c1 sqrt(k) in Q(sqrt k) matches the radical sum."""
+        x = AlgebraicElement(2, k, (c0, c1))
+        assert sign(x) == RadicalSum().add_rational(c0).add_sqrt(c1, k).sign()
 
 
 class TestSolver:

@@ -119,6 +119,31 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_alg(s, [AlgebraicElement.root(2, 2), AlgebraicElement.root(2, 3)])
 
+    @settings(max_examples=40)
+    @given(
+        st.lists(
+            st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=8),
+            min_size=2,
+            max_size=2,
+        ),
+        st.sampled_from([(3, 2), (2, 2), (2, 5)]),
+        st.tuples(st.booleans(), st.booleans()).filter(any),
+    )
+    def test_embedded_rational_point_gives_lifted_verdict(self, pt, field, mask):
+        """verify at a field-embedded rational point equals the rational
+        verdict with residuals and worst violation lifted into the field."""
+        s = PolySystem(
+            2,
+            box_rows(2, -2, 2)
+            + [(P(2, {(2, 0): 1, (0, 2): 1, (0, 0): -4}), LE0), (P(2, {(1, 1): 1}), EQ0)],
+        )
+        up = lambda q: AlgebraicElement.from_rational(*field, q)
+        embedded = [up(x) if m else x for x, m in zip(pt, mask)]
+        rat, alg = verify(s, pt), verify(s, embedded)
+        assert (alg.feasible, alg.violated) == (rat.feasible, rat.violated)
+        assert list(alg.residuals) == [up(r) for r in rat.residuals]
+        assert up(0) + alg.worst_violation == up(rat.worst_violation)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             verify(r0_system(), [Fraction(1)])
