@@ -17,7 +17,7 @@ from typing import Sequence
 from .ratcore import encoding_size_vec, format_int, format_rat
 from .polyalg import Polynomial
 from .systems import LE0, PolySystem, Verdict, relax, verify
-from .linear import enumerate_vertices, linear_rows, recession_ray, row_polynomial
+from .linear import enumerate_vertices, linear_rows, recession_ray
 from .bounds import lipschitz_constant
 
 
@@ -45,6 +45,17 @@ def _combined_system(P: PolySystem, g_list: Sequence[Polynomial]) -> PolySystem:
     return PolySystem(P.num_vars, rows, P.var_names)
 
 
+def check_scope(P: PolySystem, g_list: Sequence[Polynomial]) -> None:
+    """The preconditions of grid_certificate that cost nothing to check:
+    desk-scale dimension, a purely linear P and at least one row to relax."""
+    if P.num_vars > 3:
+        raise ValueError("vertex enumeration is desk-scale (n <= 3)")
+    if P.num_nonlinear:
+        raise ValueError("P must be purely linear; pass nonlinear rows in g_list")
+    if not g_list:
+        raise ValueError("need at least one nonlinear constraint to certify")
+
+
 def grid_certificate(
     P: PolySystem,
     g_list: Sequence[Polynomial],
@@ -57,13 +68,8 @@ def grid_certificate(
     point of the exact system.  M and L can be overridden with exact values
     (they must still bound the box and the Lipschitz constant for the
     certificate to verify; verification is always re-run here)."""
+    check_scope(P, g_list)
     n = P.num_vars
-    if n > 3:
-        raise ValueError("vertex enumeration is desk-scale (n <= 3)")
-    if P.num_nonlinear:
-        raise ValueError("P must be purely linear; pass nonlinear rows in g_list")
-    if not g_list:
-        raise ValueError("need at least one nonlinear constraint to certify")
     delta = int(delta)
     if delta < 1:
         raise ValueError("delta must be a positive integer")

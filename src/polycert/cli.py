@@ -41,7 +41,7 @@ from .reductions import (
 from .gadgets import GADGET_BUILDERS
 from .separable import SeparableCubic, solve_separable
 from .rays import classify_ray, rationalize_unbounded_ray
-from .certify import check_certificate, grid_certificate
+from .certify import check_certificate, check_scope, grid_certificate
 
 
 class UsageError(Exception):
@@ -97,6 +97,22 @@ def _point_arg(data) -> list:
     return point_from_json(data)
 
 
+def _load(path: str, parse, what: str):
+    """Parse the JSON file at path; a malformed payload is a usage error."""
+    data = _read_json(path)
+    try:
+        return parse(data)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"{path}: bad {what}: {e}") from e
+
+
+def _load_point(path: str, num_vars: int) -> list:
+    point = _load(path, _point_arg, "point")
+    if len(point) != num_vars:
+        raise UsageError(f"{path}: point has {len(point)} coordinates, expected {num_vars}")
+    return point
+
+
 def _check_precision_cap() -> None:
     """A malformed cap override is a usage error, caught before any work."""
     try:
@@ -111,8 +127,8 @@ def _check_precision_cap() -> None:
 def _cmd_verify(args, inputs: dict) -> tuple[int, dict]:
     inputs["system"] = _digest(args.system)
     inputs["point"] = _digest(args.point)
-    sys_ = PolySystem.from_json(_read_json(args.system))
-    point = _point_arg(_read_json(args.point))
+    sys_ = _load(args.system, PolySystem.from_json, "system")
+    point = _load_point(args.point, sys_.num_vars)
     v = verify(sys_, point)
     if not v.feasible:
         print(f"point violates rows {list(v.violated)}", file=sys.stderr)
@@ -137,9 +153,10 @@ def _cmd_certify(args, inputs: dict) -> tuple[int, dict]:
     inputs["system"] = _digest(args.system)
     inputs["point"] = _digest(args.point)
     inputs["delta"] = args.delta
-    sys_ = PolySystem.from_json(_read_json(args.system))
-    x_tilde = _point_arg(_read_json(args.point))
+    sys_ = _load(args.system, PolySystem.from_json, "system")
+    x_tilde = _load_point(args.point, sys_.num_vars)
     P, g_list = _split_for_certify(sys_)
+    check_scope(P, g_list)  # before delta_bound, whose value can be astronomically large
     if args.delta == "paper":
         meta = sys_.metadata()
         delta = delta_bound(
@@ -161,8 +178,8 @@ def _cmd_check(args, inputs: dict) -> tuple[int, dict]:
     inputs["system"] = _digest(args.system)
     inputs["point"] = _digest(args.point)
     inputs["delta"] = args.delta
-    sys_ = PolySystem.from_json(_read_json(args.system))
-    x_bar = _point_arg(_read_json(args.point))
+    sys_ = _load(args.system, PolySystem.from_json, "system")
+    x_bar = _load_point(args.point, sys_.num_vars)
     v = check_certificate(sys_, args.delta, x_bar)
     if not v.feasible:
         print(f"relaxed system violated at rows {list(v.violated)}", file=sys.stderr)
@@ -302,11 +319,8 @@ def _cmd_reduce(args, inputs: dict) -> tuple[int, dict]:
 def _cmd_separable(args, inputs: dict) -> tuple[int, dict]:
     inputs["system"] = _digest(args.system)
     inputs["cubic"] = _digest(args.cubic)
-    sys_ = PolySystem.from_json(_read_json(args.system))
-    try:
-        sc = SeparableCubic.from_json(_read_json(args.cubic))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"{args.cubic}: bad separable cubic: {e}") from e
+    sys_ = _load(args.system, PolySystem.from_json, "system")
+    sc = _load(args.cubic, SeparableCubic.from_json, "separable cubic")
     res = solve_separable(sc, sys_)
     out = res.to_json()
     out["status"] = out["status"].replace("_", "-")
@@ -319,13 +333,15 @@ def _cmd_ray(args, inputs: dict) -> tuple[int, dict]:
     inputs["poly"] = _digest(args.poly)
     inputs["from"] = _digest(args.from_)
     inputs["dir"] = _digest(args.dir)
-    f = Polynomial.from_json(_read_json(args.poly))
-    x0 = _point_arg(_read_json(args.from_))
-    v = _point_arg(_read_json(args.dir))
+    f = _load(args.poly, Polynomial.from_json, "polynomial")
+    x0 = _load_point(args.from_, f.num_vars)
+    v = _load_point(args.dir, f.num_vars)
     polytope = None
     if args.polytope:
         inputs["polytope"] = _digest(args.polytope)
-        polytope = PolySystem.from_json(_read_json(args.polytope))
+        polytope = _load(args.polytope, PolySystem.from_json, "system")
+        if polytope.num_vars != f.num_vars:
+            raise UsageError(f"{args.polytope}: polytope has {polytope.num_vars} variables, expected {f.num_vars}")
     if args.rationalize is not None:
         try:
             eps = parse_rat(args.rationalize)

@@ -7,11 +7,12 @@ value are all recomputed exactly and construction fails on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratcore import AlgebraicElement, Rat, format_rat, sign, squarefree_split
-from .polyalg import Polynomial, monomial
+from .polyalg import Polynomial
+from .reductions import Y1_LO, Y_BAR, circle_rows, d_chain_rows, h, y_box_rows
 from .systems import EQ0, LE0, PolySystem, Verdict, point_to_json, verify
 
 
@@ -87,18 +88,9 @@ class GadgetBundle:
         }
 
 
-def _h_terms(nv: int, iy1: int, iy2: int) -> dict:
-    return {
-        monomial(nv, (iy1, 3)): Fraction(2),
-        monomial(nv, (iy2, 3)): Fraction(1),
-        monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-        monomial(nv): Fraction(4),
-    }
-
-
 def h_polynomial() -> Polynomial:
     """h(y1, y2) = 2 y1^3 + y2^3 - 6 y1 y2 + 4, minimized at (2^(1/3), 2^(2/3))."""
-    return Polynomial(2, _h_terms(2, 0, 1))
+    return h(*Polynomial.variables(2))
 
 
 def gadget_h(gamma: Rat) -> GadgetBundle:
@@ -111,25 +103,17 @@ def gadget_h(gamma: Rat) -> GadgetBundle:
     gamma = Fraction(gamma)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    nv = 2
-    lo1 = Fraction(1259, 1000) - gamma
-    rows = [
-        (Polynomial(nv, {monomial(nv, (0, 1)): -1, monomial(nv): lo1}), LE0),
-        (Polynomial(nv, {monomial(nv, (0, 1)): 1, monomial(nv): Fraction(-1260, 1000)}), LE0),
-        (Polynomial(nv, {monomial(nv, (1, 1)): -1, monomial(nv): Fraction(1587, 1000)}), LE0),
-        (Polynomial(nv, {monomial(nv, (1, 1)): 1, monomial(nv): Fraction(-1590, 1000)}), LE0),
-        (Polynomial(nv, _h_terms(nv, 0, 1)), LE0),
-    ]
+    y1, y2 = Polynomial.variables(2)
+    rows = y_box_rows(y1, y2, gamma) + [(h(y1, y2), LE0)]
     t = AlgebraicElement.root(3, 2)
     ystar = (t, t * t)
-    ybar = (Fraction(-137, 50), Fraction(397, 250))
-    entry = Fraction(3999, 1000)
+    entry = Y1_LO - Y_BAR[0]
     ybar_feasible = gamma >= entry
     landmarks = (
         Landmark("ystar", ystar, True, expect_residuals={4: Fraction(0)}),
         Landmark(
             "ybar",
-            ybar,
+            Y_BAR,
             ybar_feasible,
             expect_worst=Fraction(0) if ybar_feasible else entry - gamma,
             expect_violated=() if ybar_feasible else (0,),
@@ -139,7 +123,7 @@ def gadget_h(gamma: Rat) -> GadgetBundle:
         "the irrational point ystar is the unique feasible point at gamma = 0 (grid evidence, not a proof here)",
         f"ybar enters the box exactly at gamma = {entry}",
     )
-    return GadgetBundle(PolySystem(nv, rows, ["y1", "y2"]), landmarks, notes)
+    return GadgetBundle(PolySystem(2, rows, ["y1", "y2"]), landmarks, notes)
 
 
 def gadget_tiny(n: int) -> GadgetBundle:
@@ -149,17 +133,8 @@ def gadget_tiny(n: int) -> GadgetBundle:
     if n < 1:
         raise ValueError("need n >= 1")
     nv = n + 1
-    rows: list[tuple] = [
-        (Polynomial(nv, {monomial(nv, (1, 1)): -1}), LE0),
-        (Polynomial(nv, {monomial(nv, (1, 1)): 1, monomial(nv): Fraction(-1, 2)}), LE0),
-    ]
-    for k in range(2, n + 1):
-        rows.append((Polynomial(nv, {monomial(nv, (k, 1)): -1}), LE0))
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (k, 1)): 1, monomial(nv, (k - 1, 2)): -1}), LE0)
-        )
-    rows.append((Polynomial(nv, {monomial(nv, (0, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (0, 1)): 1, monomial(nv, (n, 2)): -1}), LE0))
+    s, *d = Polynomial.variables(nv)
+    rows = d_chain_rows(d, s)
     names = ["s"] + [f"d{k}" for k in range(1, n + 1)]
     max_point = tuple(
         [Fraction(1, 2 ** (2 ** n))] + [Fraction(1, 2 ** (2 ** (k - 1))) for k in range(1, n + 1)]
@@ -176,14 +151,8 @@ def gadget_khachiyan(n: int) -> GadgetBundle:
     has y_n >= 2^(2^(n-1)), so feasible points need exponentially many bits."""
     if n < 1:
         raise ValueError("need n >= 1")
-    nv = n
-    rows: list[tuple] = [
-        (Polynomial(nv, {monomial(nv, (0, 1)): -1, monomial(nv): 2}), LE0)
-    ]
-    for i in range(n - 1):
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (i, 2)): 1, monomial(nv, (i + 1, 1)): -1}), LE0)
-        )
+    y = Polynomial.variables(n)
+    rows = [(2 - y[0], LE0)] + [(yi ** 2 - yj, LE0) for yi, yj in zip(y, y[1:])]
     chain = tuple(Fraction(2 ** (2 ** i)) for i in range(n))
     landmarks = (
         Landmark(
@@ -194,7 +163,7 @@ def gadget_khachiyan(n: int) -> GadgetBundle:
         ),
     )
     names = [f"y{i}" for i in range(1, n + 1)]
-    return GadgetBundle(PolySystem(nv, rows, names), landmarks)
+    return GadgetBundle(PolySystem(n, rows, names), landmarks)
 
 
 def gadget_badboy(N: int) -> GadgetBundle:
@@ -209,64 +178,13 @@ def gadget_badboy(N: int) -> GadgetBundle:
     if N < 2:
         raise ValueError("need N >= 2")
     nv = N + 2
-    ix1, ix2, id0 = 0, 1, 2
-    rows: list[tuple] = [
-        # (x1 - 1)^2 + x2^2 - d_N^2 >= 3
-        (
-            Polynomial(
-                nv,
-                {
-                    monomial(nv, (ix1, 2)): -1,
-                    monomial(nv, (ix1, 1)): 2,
-                    monomial(nv, (ix2, 2)): -1,
-                    monomial(nv, (id0 + N - 1, 2)): 1,
-                    monomial(nv): 2,
-                },
-            ),
-            LE0,
-        ),
-        # (x1 + 1)^2 + x2^2 >= 3
-        (
-            Polynomial(
-                nv,
-                {
-                    monomial(nv, (ix1, 2)): -1,
-                    monomial(nv, (ix1, 1)): -2,
-                    monomial(nv, (ix2, 2)): -1,
-                    monomial(nv): 2,
-                },
-            ),
-            LE0,
-        ),
-        # x1^2/10 + x2^2 <= 2
-        (
-            Polynomial(
-                nv,
-                {monomial(nv, (ix1, 2)): Fraction(1, 10), monomial(nv, (ix2, 2)): 1, monomial(nv): -2},
-            ),
-            LE0,
-        ),
-        # d_1 + d_N = 1/2
-        (
-            Polynomial(
-                nv,
-                {
-                    monomial(nv, (id0, 1)): 1,
-                    monomial(nv, (id0 + N - 1, 1)): 1,
-                    monomial(nv): Fraction(-1, 2),
-                },
-            ),
-            EQ0,
-        ),
-        (Polynomial(nv, {monomial(nv, (id0, 1)): -1}), LE0),
-    ]
-    for i in range(N - 1):
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (id0 + i, 2)): 1, monomial(nv, (id0 + i + 1, 1)): -1}), LE0)
-        )
+    x1, x2, *d = Polynomial.variables(nv)
+    # (x1 - 1)^2 + x2^2 - d_N^2 >= 3, (x1 + 1)^2 + x2^2 >= 3, x1^2/10 + x2^2 <= 2
+    rows = circle_rows(x1, x2, d[-1] ** 2, radius2=3, cap=2)
+    rows += [(d[0] + d[-1] - Fraction(1, 2), EQ0), (-d[0], LE0)]
+    rows += [(di ** 2 - dj, LE0) for di, dj in zip(d, d[1:])]
     names = ["x1", "x2"] + [f"d{i}" for i in range(1, N + 1)]
-    objective = Polynomial.variable(nv, ix2)
-    system = PolySystem(nv, rows, names, objective=objective)
+    system = PolySystem(nv, rows, names, objective=x2)
 
     sqrt2 = AlgebraicElement.root(2, 2)
     tail = Fraction(1, 2 ** (2 ** (N - 1)))
@@ -319,33 +237,21 @@ def gadget_socp(a: int, b: int, c: int, d: int) -> GadgetBundle:
             raise ValueError("a, b, c, d must be positive integers")
     if a * a + b * b + c * c != d * d:
         raise ValueError(f"not a Pythagorean quadruple: {a}^2+{b}^2+{c}^2 != {d}^2")
-    nv = 4
+    x0, x1, x2, x3 = Polynomial.variables(4)
     rows = [
-        (
-            Polynomial(
-                nv,
-                {monomial(nv, (1, 2)): 1, monomial(nv, (2, 2)): 1, monomial(nv, (0, 2)): -1},
-            ),
-            LE0,
-        ),
-        (
-            Polynomial(
-                nv,
-                {monomial(nv, (0, 2)): 1, monomial(nv, (3, 2)): 1, monomial(nv): -d * d},
-            ),
-            LE0,
-        ),
-        (Polynomial(nv, {monomial(nv, (1, 1)): -1, monomial(nv): a}), LE0),
-        (Polynomial(nv, {monomial(nv, (2, 1)): -1, monomial(nv): b}), LE0),
-        (Polynomial(nv, {monomial(nv, (3, 1)): -1, monomial(nv): c}), LE0),
-        (Polynomial(nv, {monomial(nv, (0, 1)): -1}), LE0),
+        (x1 ** 2 + x2 ** 2 - x0 ** 2, LE0),
+        (x0 ** 2 + x3 ** 2 - d * d, LE0),
+        (a - x1, LE0),
+        (b - x2, LE0),
+        (c - x3, LE0),
+        (-x0, LE0),
     ]
     outer, inner = squarefree_split(a * a + b * b)
     if inner == 1:
-        x0 = Fraction(outer)
+        root = Fraction(outer)
     else:
-        x0 = AlgebraicElement(2, inner, (Fraction(0), Fraction(outer)))
-    point = (x0, Fraction(a), Fraction(b), Fraction(c))
+        root = AlgebraicElement(2, inner, (Fraction(0), Fraction(outer)))
+    point = (root, Fraction(a), Fraction(b), Fraction(c))
     landmarks = (
         Landmark(
             "corner",
@@ -355,7 +261,7 @@ def gadget_socp(a: int, b: int, c: int, d: int) -> GadgetBundle:
         ),
     )
     names = ["x0", "x1", "x2", "x3"]
-    return GadgetBundle(PolySystem(nv, rows, names), landmarks)
+    return GadgetBundle(PolySystem(4, rows, names), landmarks)
 
 
 def gadget_unlucky(sigma: Rat) -> GadgetBundle:
@@ -368,41 +274,8 @@ def gadget_unlucky(sigma: Rat) -> GadgetBundle:
     sigma = Fraction(sigma)
     if not 0 <= sigma <= 1:
         raise ValueError("sigma must lie in [0, 1]")
-    nv = 2
-    rows = [
-        (
-            Polynomial(
-                nv,
-                {
-                    monomial(nv, (0, 2)): -1,
-                    monomial(nv, (0, 1)): 2,
-                    monomial(nv, (1, 2)): -1,
-                    monomial(nv): 4 + sigma,
-                },
-            ),
-            LE0,
-        ),
-        (
-            Polynomial(
-                nv,
-                {
-                    monomial(nv, (0, 2)): -1,
-                    monomial(nv, (0, 1)): -2,
-                    monomial(nv, (1, 2)): -1,
-                    monomial(nv): 4,
-                },
-            ),
-            LE0,
-        ),
-        (
-            Polynomial(
-                nv,
-                {monomial(nv, (0, 2)): Fraction(1, 10), monomial(nv, (1, 2)): 1, monomial(nv): -4},
-            ),
-            LE0,
-        ),
-        (Polynomial(nv, {monomial(nv, (1, 1)): -1}), LE0),
-    ]
+    z1, z2 = Polynomial.variables(2)
+    rows = circle_rows(z1, z2, sigma) + [(-z2, LE0)]
     feasible = sigma == 0
     landmarks = (
         Landmark(
@@ -414,7 +287,7 @@ def gadget_unlucky(sigma: Rat) -> GadgetBundle:
         ),
     )
     notes = ("no feasible point has 0 < |z_1| < 2",)
-    return GadgetBundle(PolySystem(nv, rows, ["z1", "z2"]), landmarks, notes)
+    return GadgetBundle(PolySystem(2, rows, ["z1", "z2"]), landmarks, notes)
 
 
 GADGET_BUILDERS = {

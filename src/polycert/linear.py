@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .polyalg import Polynomial, monomial
-from .systems import EQ0, LE0, PolySystem
+from .systems import EQ0, PolySystem
 
 Row = tuple[tuple[Fraction, ...], Fraction]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .ratcore import (
@@ -64,6 +65,16 @@ class Polynomial:
         self.num_vars = num_vars
         self.terms = {e: c for e, c in clean.items() if c}
 
+    @classmethod
+    def _from_terms(cls, num_vars: int, terms: dict) -> "Polynomial":
+        """Result of arithmetic on validated polynomials: the keys are already
+        exponent tuples of length num_vars and the coefficients Fractions, so
+        only the zero coefficients are dropped."""
+        p = object.__new__(cls)
+        p.num_vars = num_vars
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -80,6 +91,11 @@ class Polynomial:
         if not 0 <= index < num_vars:
             raise ValueError("variable index out of range")
         return cls(num_vars, {monomial(num_vars, (index, 1)): Fraction(1)})
+
+    @classmethod
+    def variables(cls, num_vars: int) -> list["Polynomial"]:
+        """x_1..x_n as polynomials, for building rows by arithmetic."""
+        return [cls.variable(num_vars, i) for i in range(num_vars)]
 
     # -- structure ---------------------------------------------------------
 
@@ -112,16 +128,15 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Polynomial | RatLike") -> "Polynomial":
-        o = self._coerce(other)
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Polynomial(self.num_vars, out)
+        for e, c in self._coerce(other).terms.items():
+            out[e] = out[e] + c if e in out else c
+        return Polynomial._from_terms(self.num_vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial | RatLike") -> "Polynomial":
         return self + (-self._coerce(other))
@@ -132,27 +147,27 @@ class Polynomial:
     def __mul__(self, other: "Polynomial | RatLike") -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.num_vars, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._from_terms(self.num_vars, {e: c * v for e, v in self.terms.items()})
         o = self._coerce(other)
         out: dict[Monomial, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.num_vars, out)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return Polynomial._from_terms(self.num_vars, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other: RatLike) -> "Polynomial":
+        return self * (1 / Fraction(other))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.num_vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = self if n else self._coerce(1)
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def _coerce(self, other: "Polynomial | RatLike") -> "Polynomial":
@@ -160,7 +175,7 @@ class Polynomial:
             if other.num_vars != self.num_vars:
                 raise ValueError("mixed variable counts")
             return other
-        return Polynomial.constant(self.num_vars, other)
+        return Polynomial._from_terms(self.num_vars, {monomial(self.num_vars): Fraction(other)})
 
     # -- evaluation --------------------------------------------------------
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ratcore import dyadic_floor, field_of, precision_cap, refine_dyadic, sign
-from .polyalg import Polynomial, monomial, uni_degree
+from .polyalg import Polynomial, uni_degree
 from .systems import PolySystem, scalar_to_json
 from .linear import dot, linear_rows, project_to_nullspace, satisfies
 
@@ -132,14 +132,7 @@ def rationalize_unbounded_ray(
 
 
 def quartic_counterexample() -> Polynomial:
-    """y2 - (y2 - y1^2)^2 expanded: bounded along every ray of the plane yet
+    """y2 - (y2 - y1^2)^2: bounded along every ray of the plane yet
     unbounded above over the plane (take the parabola points (k, k^2))."""
-    return Polynomial(
-        2,
-        {
-            monomial(2, (0, 4)): Fraction(-1),
-            monomial(2, (0, 2), (1, 1)): Fraction(2),
-            monomial(2, (1, 2)): Fraction(-1),
-            monomial(2, (1, 1)): Fraction(1),
-        },
-    )
+    y1, y2 = Polynomial.variables(2)
+    return y2 - (y2 - y1 ** 2) ** 2

@@ -13,6 +13,12 @@ vectors are position-stable:
   unbounded cone K:
       x_1..x_{2n}, y_1, y_2, y_3, Delta, gamma                (2n + 5)
 
+The cone K is the polytope P of the reduction homogenized by y_3: every
+constant becomes a multiple of y_3.  Its objective is pi = y_1 y_3 minus
+the reduction's cubic row homogenized by y_3.  Rows are written as
+arithmetic on Polynomial.variable, and every shared piece (P, h, the cubic
+row, the d-chain, the z-circles) has one builder here that gadgets reuses.
+
 Literal u maps to coordinate u-1 (positive) or n + |u| - 1 (negated).
 Decimal interval endpoints are exact rationals with power-of-ten
 denominators (1.259 -> 1259/1000, etc.).
@@ -26,8 +32,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ratcore import AlgebraicElement, integer_nth_root, precision_cap, refine_dyadic
-from .polyalg import Polynomial, monomial
-from .systems import EQ0, GE0, LE0, PolySystem
+from .polyalg import Polynomial
+from .systems import EQ0, LE0, PolySystem
 
 Y1_LO = Fraction(1259, 1000)
 Y1_HI = Fraction(1260, 1000)
@@ -121,50 +127,91 @@ def _np_hard_names(n: int, quadratize: bool) -> list[str]:
     return names
 
 
-def _common_linear_rows(nv: int, n: int, clauses, ix, igamma, idelta, iy1, iy2):
-    """The shared linear constraints: variable boxes, literal pairing, clause
-    rows, the (gamma, Delta) region, and y in R_gamma."""
-    rows: list[tuple] = []
-    for j in range(2 * n):
-        rows.append((Polynomial(nv, {monomial(nv, (ix + j, 1)): -1, monomial(nv): -1}), LE0))
-        rows.append((Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv): -1}), LE0))
-    for j in range(n):
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv, (ix + n + j, 1)): 1}), EQ0)
-        )
-    for cl in clauses:
-        terms = {monomial(nv): Fraction(-1), monomial(nv, (idelta, 1)): Fraction(-1)}
-        for lit in cl:
-            key = monomial(nv, (ix + _lit_coord(lit, n), 1))
-            terms[key] = terms.get(key, Fraction(0)) - 1
-        rows.append((Polynomial(nv, terms), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (igamma, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (idelta, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (idelta, 1)): 1, monomial(nv): -2}), LE0))
-    rows.append(
-        (Polynomial(nv, {monomial(nv, (idelta, 1)): 1, monomial(nv, (igamma, 1)): Fraction(1, 2), monomial(nv): -2}), LE0)
-    )
-    rows.append(
-        (Polynomial(nv, {monomial(nv, (iy1, 1)): -1, monomial(nv, (igamma, 1)): -1, monomial(nv): Y1_LO}), LE0)
-    )
-    rows.append((Polynomial(nv, {monomial(nv, (iy1, 1)): 1, monomial(nv): -Y1_HI}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (iy2, 1)): -1, monomial(nv): Y2_LO}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (iy2, 1)): 1, monomial(nv): -Y2_HI}), LE0))
-    return rows
+# -- shared pieces ------------------------------------------------------------
+# Each piece takes its variables as polynomials (constants may stand in for
+# some of them), so one builder serves every instance that contains it.
 
 
-def _d_chain_rows(nv: int, n: int, id0: int, is_: int):
-    """0 <= d_1 <= 1/2; 0 <= d_k <= d_{k-1}^2; 0 <= s <= d_n^2."""
+def h(y1, y2, one=1, squares=None):
+    """h(y) = 2 y1^3 + y2^3 - 6 y1 y2 + 4, minimized at (2^(1/3), 2^(2/3)),
+    homogenized by `one`; `squares` stands in for (y1^2, y2^2) in the
+    quadratized row.  Polynomials and plain numbers alike."""
+    sq1, sq2 = squares or (y1 * y1, y2 * y2)
+    return 2 * y1 * sq1 + y2 * sq2 - 6 * y1 * y2 * one + 4 * one ** 3
+
+
+def cubic_row(n: int, x, y1, y2, one=1, squares=None):
+    """h(y) + n^6 - n^5 sum_{j <= n} x_j^2, homogenized by `one`: the
+    degree-3 row of the reduction, before the chain slack s."""
+    return h(y1, y2, one, squares) + n ** 6 * one ** 3 - n ** 5 * one * sum(xj * xj for xj in x[:n])
+
+
+def y_box_rows(y1, y2, gamma, one=1) -> list[tuple]:
+    """y in R_gamma = [1.259 - gamma, 1.26] x [1.587, 1.59], homogenized by `one`."""
+    return [
+        (Y1_LO * one - gamma - y1, LE0),
+        (y1 - Y1_HI * one, LE0),
+        (Y2_LO * one - y2, LE0),
+        (y2 - Y2_HI * one, LE0),
+    ]
+
+
+def polytope_rows(cnf: CnfFormula, x, gamma, delta, y1, y2, one=1) -> list[tuple]:
+    """The polytope P: boxes -1 <= x_j <= 1, pairing x_j + x_{n+j} = 0, one
+    row per clause, the (gamma, Delta) region and y in R_gamma.  With
+    one = y3 every constant becomes a multiple of y3 and the rows cut out
+    the cone K, which also needs y3 >= 0 (placed before the clause rows)."""
+    n = cnf.num_vars
     rows: list[tuple] = []
-    rows.append((Polynomial(nv, {monomial(nv, (id0, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (id0, 1)): 1, monomial(nv): Fraction(-1, 2)}), LE0))
-    for k in range(1, n):
-        rows.append((Polynomial(nv, {monomial(nv, (id0 + k, 1)): -1}), LE0))
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (id0 + k, 1)): 1, monomial(nv, (id0 + k - 1, 2)): -1}), LE0)
-        )
-    rows.append((Polynomial(nv, {monomial(nv, (is_, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (is_, 1)): 1, monomial(nv, (id0 + n - 1, 2)): -1}), LE0))
+    for xj in x:
+        rows += [(-xj - one, LE0), (xj - one, LE0)]
+    rows += [(x[j] + x[n + j], EQ0) for j in range(n)]
+    if one != 1:
+        rows.append((-one, LE0))
+    for cl in cnf.clauses:
+        rows.append((-one - delta - sum(x[_lit_coord(lit, n)] for lit in cl), LE0))
+    rows += [
+        (-gamma, LE0),
+        (-delta, LE0),
+        (delta - 2 * one, LE0),
+        (delta + gamma / 2 - 2 * one, LE0),
+    ]
+    return rows + y_box_rows(y1, y2, gamma, one)
+
+
+def d_chain_rows(d, s) -> list[tuple]:
+    """0 <= d_1 <= 1/2, 0 <= d_k <= d_{k-1}^2 and 0 <= s <= d_n^2."""
+    rows = [(-d[0], LE0), (d[0] - Fraction(1, 2), LE0)]
+    for prev, dk in zip(d, d[1:]):
+        rows += [(-dk, LE0), (dk - prev ** 2, LE0)]
+    return rows + [(-s, LE0), (s - d[-1] ** 2, LE0)]
+
+
+def circle_rows(z1, z2, slack, radius2=5, cap=4) -> list[tuple]:
+    """(z1 - 1)^2 + z2^2 >= radius2 + slack, (z1 + 1)^2 + z2^2 >= radius2 and
+    z1^2/10 + z2^2 <= cap: the two-circle gap of the superoptimal problem."""
+    return [
+        (radius2 + slack - (z1 - 1) ** 2 - z2 ** 2, LE0),
+        (radius2 - (z1 + 1) ** 2 - z2 ** 2, LE0),
+        (z1 ** 2 / 10 + z2 ** 2 - cap, LE0),
+    ]
+
+
+# -- instances ----------------------------------------------------------------
+
+
+def _np_hard_rows(cnf: CnfFormula, v: list[Polynomial], quadratize: bool) -> list[tuple]:
+    """Rows of the np-hard system over variables v in its documented order;
+    v may run past them (superopt appends z_1, z_2)."""
+    n = cnf.num_vars
+    x, (gamma, delta, y1, y2) = v[: 2 * n], v[2 * n : 2 * n + 4]
+    d, s = v[2 * n + 4 : 3 * n + 4], v[3 * n + 4]
+    rows = polytope_rows(cnf, x, gamma, delta, y1, y2) + d_chain_rows(d, s)
+    squares = None
+    if quadratize:
+        squares = v[3 * n + 5 : 3 * n + 7]
+        rows += [(sq - y ** 2, EQ0) for sq, y in zip(squares, (y1, y2))]
+    rows.append((cubic_row(n, x, y1, y2, squares=squares) - s, LE0))
     return rows
 
 
@@ -173,63 +220,19 @@ def build_np_hard_system(cnf: CnfFormula, quadratize: bool = False) -> PolySyste
     quadratized).  Feasible iff the formula is not always falsifiable in the
     sense of the construction; see the witness builders."""
     _check_n(cnf)
-    n = cnf.num_vars
-    nv = 3 * n + 5 + (2 if quadratize else 0)
-    ix, igamma, idelta, iy1, iy2 = 0, 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
-    id0, is_ = 2 * n + 4, 3 * n + 4
-    rows = _common_linear_rows(nv, n, cnf.clauses, ix, igamma, idelta, iy1, iy2)
-    rows += _d_chain_rows(nv, n, id0, is_)
-    n5 = Fraction(n) ** 5
-    n6 = Fraction(n) ** 6
-    if quadratize:
-        iy12, iy22 = 3 * n + 5, 3 * n + 6
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (iy12, 1)): 1, monomial(nv, (iy1, 2)): -1}), EQ0, "nonlinear")
-        )
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (iy22, 1)): 1, monomial(nv, (iy2, 2)): -1}), EQ0, "nonlinear")
-        )
-        nasty_terms = {
-            monomial(nv, (iy12, 1), (iy1, 1)): Fraction(2),
-            monomial(nv, (iy22, 1), (iy2, 1)): Fraction(1),
-            monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-            monomial(nv): Fraction(4) + n6,
-            monomial(nv, (is_, 1)): Fraction(-1),
-        }
-    else:
-        nasty_terms = {
-            monomial(nv, (iy1, 3)): Fraction(2),
-            monomial(nv, (iy2, 3)): Fraction(1),
-            monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-            monomial(nv): Fraction(4) + n6,
-            monomial(nv, (is_, 1)): Fraction(-1),
-        }
-    for j in range(n):
-        nasty_terms[monomial(nv, (ix + j, 2))] = -n5
-    rows.append((Polynomial(nv, nasty_terms), LE0))
-    return PolySystem(nv, rows, _np_hard_names(n, quadratize))
+    names = _np_hard_names(cnf.num_vars, quadratize)
+    v = Polynomial.variables(len(names))
+    return PolySystem(len(names), _np_hard_rows(cnf, v, quadratize), names)
 
 
 def build_cubic_system(cnf: CnfFormula) -> PolySystem:
     """Variant with one degree-3 constraint and no (d, s) chain: 2n+4 variables."""
     _check_n(cnf)
     n = cnf.num_vars
-    nv = 2 * n + 4
-    ix, igamma, idelta, iy1, iy2 = 0, 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3
-    rows = _common_linear_rows(nv, n, cnf.clauses, ix, igamma, idelta, iy1, iy2)
-    n5 = Fraction(n) ** 5
-    n6 = Fraction(n) ** 6
-    terms = {
-        monomial(nv, (iy1, 3)): Fraction(2),
-        monomial(nv, (iy2, 3)): Fraction(1),
-        monomial(nv, (iy1, 1), (iy2, 1)): Fraction(-6),
-        monomial(nv): Fraction(4) + n6,
-    }
-    for j in range(n):
-        terms[monomial(nv, (ix + j, 2))] = -n5
-    rows.append((Polynomial(nv, terms), LE0))
-    names = [f"x{j}" for j in range(1, 2 * n + 1)] + ["gamma", "Delta", "y1", "y2"]
-    return PolySystem(nv, rows, names)
+    v = Polynomial.variables(2 * n + 4)
+    x, (gamma, delta, y1, y2) = v[: 2 * n], v[2 * n :]
+    rows = polytope_rows(cnf, x, gamma, delta, y1, y2) + [(cubic_row(n, x, y1, y2), LE0)]
+    return PolySystem(2 * n + 4, rows, _np_hard_names(n, False)[: 2 * n + 4])
 
 
 def build_superopt_problem(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
@@ -241,141 +244,25 @@ def build_superopt_problem(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
     """
     _check_n(cnf)
     n = cnf.num_vars
-    base = build_np_hard_system(cnf)
-    nv = base.num_vars + 2
-    iz1, iz2 = base.num_vars, base.num_vars + 1
-    is_ = 3 * n + 4
-    grow = [[Fraction(1) if c == r else Fraction(0) for c in range(nv)] for r in range(base.num_vars)]
-    zero = [Fraction(0)] * base.num_vars
-    rows: list[tuple] = [
-        (c.poly.affine_substitute(grow, zero), c.rel, c.tag) for c in base.constraints
-    ]
-    # (z1 - 1)^2 + z2^2 >= 5 + s
-    rows.append(
-        (
-            Polynomial(
-                nv,
-                {
-                    monomial(nv, (iz1, 2)): -1,
-                    monomial(nv, (iz1, 1)): 2,
-                    monomial(nv, (iz2, 2)): -1,
-                    monomial(nv): 4,
-                    monomial(nv, (is_, 1)): 1,
-                },
-            ),
-            LE0,
-            "nonlinear",
-        )
-    )
-    # (z1 + 1)^2 + z2^2 >= 5
-    rows.append(
-        (
-            Polynomial(
-                nv,
-                {
-                    monomial(nv, (iz1, 2)): -1,
-                    monomial(nv, (iz1, 1)): -2,
-                    monomial(nv, (iz2, 2)): -1,
-                    monomial(nv): 4,
-                },
-            ),
-            LE0,
-            "nonlinear",
-        )
-    )
-    # z1^2/10 + z2^2 <= 4
-    rows.append(
-        (
-            Polynomial(
-                nv,
-                {monomial(nv, (iz1, 2)): Fraction(1, 10), monomial(nv, (iz2, 2)): 1, monomial(nv): -4},
-            ),
-            LE0,
-            "nonlinear",
-        )
-    )
-    rows.append((Polynomial(nv, {monomial(nv, (iz2, 1)): -1}), LE0))
-    objective = Polynomial.variable(nv, iz2)
-    names = list(_np_hard_names(n, False)) + ["z1", "z2"]
-    return PolySystem(nv, rows, names, objective=objective), objective
+    names = _np_hard_names(n, False) + ["z1", "z2"]
+    v = Polynomial.variables(len(names))
+    s, z1, z2 = v[3 * n + 4], v[-2], v[-1]
+    rows = _np_hard_rows(cnf, v, False) + circle_rows(z1, z2, s) + [(-z2, LE0)]
+    return PolySystem(len(names), rows, names, objective=z2), z2
 
 
 def build_unbounded_instance(cnf: CnfFormula) -> tuple[PolySystem, Polynomial]:
-    """Homogeneous cone K over x_1..x_{2n}, y_1, y_2, y_3, Delta, gamma, and
-    the cubic objective pi = -n^6 y_3^3 + n^5 y_3 sum_j x_j^2 + c(y) + q(y)
-    with c(y) = -2y_1^3 - y_2^3 + 6 y_1 y_2 y_3 - 4 y_3^3 and q(y) = y_1 y_3."""
+    """The cone K over x_1..x_{2n}, y_1, y_2, y_3, Delta, gamma (the polytope
+    P homogenized by y_3) and the cubic objective pi = y_1 y_3 minus the
+    reduction's cubic row homogenized by y_3."""
     _check_n(cnf)
     n = cnf.num_vars
-    nv = 2 * n + 5
-    ix, iy1, iy2, iy3, idelta, igamma = 0, 2 * n, 2 * n + 1, 2 * n + 2, 2 * n + 3, 2 * n + 4
-    rows: list[tuple] = []
-    for j in range(2 * n):
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (ix + j, 1)): -1, monomial(nv, (iy3, 1)): -1}), LE0)
-        )
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv, (iy3, 1)): -1}), LE0)
-        )
-    for j in range(n):
-        rows.append(
-            (Polynomial(nv, {monomial(nv, (ix + j, 1)): 1, monomial(nv, (ix + n + j, 1)): 1}), EQ0)
-        )
-    rows.append((Polynomial(nv, {monomial(nv, (iy3, 1)): -1}), LE0))
-    for cl in cnf.clauses:
-        terms = {
-            monomial(nv, (iy3, 1)): Fraction(-1),
-            monomial(nv, (idelta, 1)): Fraction(-1),
-        }
-        for lit in cl:
-            key = monomial(nv, (ix + _lit_coord(lit, n), 1))
-            terms[key] = terms.get(key, Fraction(0)) - 1
-        rows.append((Polynomial(nv, terms), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (igamma, 1)): -1}), LE0))
-    rows.append((Polynomial(nv, {monomial(nv, (idelta, 1)): -1}), LE0))
-    rows.append(
-        (Polynomial(nv, {monomial(nv, (idelta, 1)): 1, monomial(nv, (iy3, 1)): -2}), LE0)
-    )
-    rows.append(
-        (
-            Polynomial(
-                nv,
-                {monomial(nv, (idelta, 1)): 1, monomial(nv, (igamma, 1)): Fraction(1, 2), monomial(nv, (iy3, 1)): -2},
-            ),
-            LE0,
-        )
-    )
-    rows.append(
-        (
-            Polynomial(
-                nv,
-                {monomial(nv, (iy3, 1)): Y1_LO, monomial(nv, (igamma, 1)): -1, monomial(nv, (iy1, 1)): -1},
-            ),
-            LE0,
-        )
-    )
-    rows.append(
-        (Polynomial(nv, {monomial(nv, (iy1, 1)): 1, monomial(nv, (iy3, 1)): -Y1_HI}), LE0)
-    )
-    rows.append(
-        (Polynomial(nv, {monomial(nv, (iy3, 1)): Y2_LO, monomial(nv, (iy2, 1)): -1}), LE0)
-    )
-    rows.append(
-        (Polynomial(nv, {monomial(nv, (iy2, 1)): 1, monomial(nv, (iy3, 1)): -Y2_HI}), LE0)
-    )
-    n5 = Fraction(n) ** 5
-    n6 = Fraction(n) ** 6
-    pi_terms = {
-        monomial(nv, (iy3, 3)): -n6 - 4,
-        monomial(nv, (iy1, 3)): Fraction(-2),
-        monomial(nv, (iy2, 3)): Fraction(-1),
-        monomial(nv, (iy1, 1), (iy2, 1), (iy3, 1)): Fraction(6),
-        monomial(nv, (iy1, 1), (iy3, 1)): Fraction(1),
-    }
-    for j in range(n):
-        pi_terms[monomial(nv, (ix + j, 2), (iy3, 1))] = n5
-    pi = Polynomial(nv, pi_terms)
+    v = Polynomial.variables(2 * n + 5)
+    x, (y1, y2, y3, delta, gamma) = v[: 2 * n], v[2 * n :]
+    rows = polytope_rows(cnf, x, gamma, delta, y1, y2, one=y3)
+    pi = y1 * y3 - cubic_row(n, x, y1, y2, one=y3)
     names = [f"x{j}" for j in range(1, 2 * n + 1)] + ["y1", "y2", "y3", "Delta", "gamma"]
-    return PolySystem(nv, rows, names, objective=pi), pi
+    return PolySystem(2 * n + 5, rows, names, objective=pi), pi
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -402,10 +289,6 @@ def witness_satisfiable(cnf: CnfFormula, assignment: Sequence[bool]) -> list[Fra
     return assignment_vector(cnf, assignment)
 
 
-def _h_value(y1: Fraction, y2: Fraction) -> Fraction:
-    return 2 * y1 ** 3 + y2 ** 3 - 6 * y1 * y2 + 4
-
-
 def find_y_hat(bound: Fraction) -> tuple[Fraction, Fraction]:
     """Rational point of R_0 with h(y) <= bound, by truncating the exact
     minimizer (2^(1/3), 2^(2/3)) to k fractional bits, doubling k until the
@@ -421,7 +304,7 @@ def find_y_hat(bound: Fraction) -> tuple[Fraction, Fraction]:
         if (
             Y1_LO <= y1 <= Y1_HI
             and Y2_LO <= y2 <= Y2_HI
-            and _h_value(y1, y2) <= bound
+            and h(y1, y2) <= bound
         ):
             return y1, y2
         return None

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .ratcore import (
     AlgebraicElement,
@@ -26,7 +25,7 @@ from .ratcore import (
     sign,
     squarefree_split,
 )
-from .polyalg import Polynomial, monomial, uni_derivative, uni_eval
+from .polyalg import Polynomial, uni_derivative, uni_eval
 from .systems import PolySystem
 from .linear import enumerate_vertices, linear_rows, recession_ray, satisfies
 from . import bounds
@@ -56,17 +55,9 @@ class SeparableCubic:
         return len(self.coeffs)
 
     def polynomial(self) -> Polynomial:
-        nv = self.n
-        terms: dict[tuple[int, ...], Fraction] = {}
-        const = Fraction(0)
-        for i, (a, b, c, d) in enumerate(self.coeffs):
-            for exp, coef in ((3, a), (2, b), (1, c)):
-                if coef:
-                    terms[monomial(nv, (i, exp))] = coef
-            const += d
-        if const:
-            terms[monomial(nv)] = const
-        return Polynomial(nv, terms)
+        x = Polynomial.variables(self.n)
+        terms = (a * xi ** 3 + b * xi ** 2 + c * xi + d for xi, (a, b, c, d) in zip(x, self.coeffs))
+        return sum(terms, Polynomial.zero(self.n))
 
     def univariate(self, i: int) -> list[Fraction]:
         a, b, c, d = self.coeffs[i]

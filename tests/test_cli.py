@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from polycert import cli
 from polycert.bounds import delta_bound
 from polycert.cli import main
 from polycert.polyalg import Polynomial
@@ -142,6 +143,74 @@ class TestUsageErrors:
         assert code == 2
         assert report is None
         assert "point object" in err
+
+
+MALFORMED = {
+    "system": {
+        "no-constraints": {"version": 1, "n": 2, "var_names": ["x1", "x2"]},
+        "version-7": {"version": 7, "n": 2, "var_names": ["x1", "x2"], "constraints": []},
+        "not-an-object": [1, 2],
+    },
+    "point": {
+        "zero-denominator": {"values": ["1/0", "0"]},
+        "wrong-length": {"values": ["0", "0", "0"]},
+        "not-a-number": {"values": ["abc", "0"]},
+    },
+    "poly": {
+        "no-n": {"terms": []},
+        "zero-denominator": {"n": 2, "terms": [{"exps": [1, 0], "coef": "1/0"}]},
+    },
+    "cubic": {
+        "no-coeffs": {"rows": []},
+        "zero-denominator": {"coeffs": [["1/0", "0", "0", "0"], ["1", "0", "0", "0"]]},
+    },
+}
+
+SUBCOMMAND_FILES = {
+    "verify": ["--system", "{system}", "--point", "{point}"],
+    "certify": ["--system", "{system}", "--point", "{point}", "--delta", "10"],
+    "check": ["--system", "{system}", "--delta", "10", "--point", "{point}"],
+    "separable": ["--system", "{system}", "--cubic", "{cubic}"],
+    "ray": ["--poly", "{poly}", "--from", "{point}", "--dir", "{point}"],
+}
+
+
+class TestMalformedInput:
+    """Every subcommand x every malformed file it reads: exit 2, no report."""
+
+    @pytest.mark.parametrize(
+        "cmd, slot, kind",
+        [
+            (cmd, slot, kind)
+            for cmd, argv in SUBCOMMAND_FILES.items()
+            for slot in MALFORMED
+            if "{%s}" % slot in argv
+            for kind in MALFORMED[slot]
+        ],
+    )
+    def test_malformed_file_is_a_usage_error(self, capsys, tmp_path, cmd, slot, kind):
+        files = {
+            "system": unit_box_with_disc(tmp_path),
+            "point": write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)])),
+            "poly": write_json(tmp_path / "f.json", Polynomial.variable(2, 0).to_json()),
+            "cubic": write_json(tmp_path / "cubic.json", {"coeffs": [["1", "0", "-6", "5"]] * 2}),
+        }
+        files[slot] = write_json(tmp_path / "bad.json", MALFORMED[slot][kind])
+        code, report, err = run(capsys, [cmd] + [a.format(**files) for a in SUBCOMMAND_FILES[cmd]])
+        assert code == 2
+        assert report is None
+        assert err.startswith("error:") and "bad.json" in err
+
+    def test_polytope_of_another_dimension_is_a_usage_error(self, capsys, tmp_path):
+        poly = write_json(tmp_path / "f.json", Polynomial.variable(2, 0).to_json())
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(0), F(1)]))
+        box = write_json(tmp_path / "box.json", PolySystem(1, [(-Polynomial.variable(1, 0), LE0)]).to_json())
+        code, report, err = run(
+            capsys, ["ray", "--poly", poly, "--from", pt, "--dir", pt, "--polytope", box, "--rationalize", "1/10"]
+        )
+        assert code == 2
+        assert report is None
+        assert "box.json" in err
 
 
 class TestGadget:
@@ -404,6 +473,23 @@ class TestCertifyAndCheck:
         cert = report["outputs"]["certificate"]
         assert int(cert["delta_used"]) > 10**9
         assert report["outputs"]["check"]["feasible"] is True
+
+    def test_delta_paper_checks_scope_before_computing_delta(self, capsys, tmp_path, monkeypatch):
+        # 16 variables of degree 2: the paper delta would have ~10^12 bits
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(TWO_CLAUSE)
+        out = tmp_path / "superopt.json"
+        code, _, _ = run(capsys, ["reduce", "--cnf", str(cnf), "--variant", "superopt", "--out", str(out)])
+        assert code == 0
+
+        def refuse(*args):
+            raise AssertionError("delta_bound called on an out-of-scope system")
+
+        monkeypatch.setattr(cli, "delta_bound", refuse)
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(0)] * 16))
+        code, report, _ = run(capsys, ["certify", "--system", str(out), "--point", pt, "--delta", "paper"])
+        assert code == 1
+        assert "n <= 3" in report["outputs"]["error"]
 
     def test_non_integer_delta_is_usage_error(self, capsys, tmp_path):
         path = unit_box_with_disc(tmp_path)

@@ -1,0 +1,72 @@
+"""Golden digests of generated systems.
+
+System JSON v1 is a file format: the bytes every builder writes for a fixed
+input are pinned here, so a refactor of how polynomials are built cannot
+change an instance silently.  A digest covers `PolySystem.dumps()` and, for
+builders that return one, the objective's JSON.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from polycert.cli import _GADGET_DEFAULTS
+from polycert.gadgets import GADGET_BUILDERS
+from polycert.reductions import (
+    CnfFormula,
+    build_cubic_system,
+    build_np_hard_system,
+    build_superopt_problem,
+    build_unbounded_instance,
+)
+
+CNF3 = CnfFormula(3, ((1, -2, 3), (-1, 2, 3)))
+CNF5 = CnfFormula(5, ((1, -2, 3), (-1, 4, 5), (2, -3, -5), (-4, 5, 1), (3, 4, -2)))
+
+VARIANTS = {
+    "quad": lambda cnf: (build_np_hard_system(cnf, quadratize=True), None),
+    "cubic": lambda cnf: (build_cubic_system(cnf), None),
+    "superopt": build_superopt_problem,
+    "unbounded": build_unbounded_instance,
+}
+
+
+def digest(system, objective=None) -> str:
+    text = system.dumps()
+    if objective is not None:
+        text += "\n" + json.dumps(objective.to_json(), indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+REDUCTION_DIGESTS = {
+    ("quad", 3): "f823e2e22d6480ae7ed9d1e809e37b24ebd742aedfb124c27c259d8eedec0dc9",
+    ("cubic", 3): "aa7febfacff145953a1ce1eaf9ca44854e294c4a9cd1c748e9a37f3f2404f779",
+    ("superopt", 3): "46aa6899282653b9425466d0255511625b2d3724ca13d00061e3e59484d1312c",
+    ("unbounded", 3): "491896a3ddb7276809dffaf6a726a73260c60610233378fe4c549ecfa9da0e2c",
+    ("quad", 5): "b9fe7e9f29aeceaf2aa5a1fc57993ac5986237da7b0840c6bfc52e2b8a444b04",
+    ("cubic", 5): "3593d8ac61bd6b3c315c5d9c9f9a2ffbd63ed497f0b6662f81d9358374d3e6ea",
+    ("superopt", 5): "77311b6ad0878ec74c879e30fa1c63c10be0cbc996c807c2fbd57b4205e4b0b1",
+    ("unbounded", 5): "e63f65eaccdaaa3b41cff91e2a602535ba70f03caef1f082b44c99dafa2a0f2c",
+}
+
+GADGET_DIGESTS = {
+    "h": "7a932bf268119c5683cb9910e78592de1e38bb306e97844c6ead70779644c1b2",
+    "tiny": "442fa1ad47360b67735106b71cd74082ffab2b4af9d768e61c6ef1ae058650fd",
+    "khachiyan": "9954212d471194c7249d59fb07bf036e4eb56762464c0b3cb74bf8d45a96ee03",
+    "badboy": "775df11d4c99698d6c46f0bcf6e5e826f25960938c6330d6f0364309e7e9b502",
+    "socp": "0142793fc1fce7acc99e42a34e9a8cba26d49bcb241ec8a0e48b79bc075488b6",
+    "unlucky": "3fd3dc8c39b0805e761daef3319e13251e19c5da541f9f8af4efadb5d46b6180",
+}
+
+
+@pytest.mark.parametrize("variant, n", sorted(REDUCTION_DIGESTS))
+def test_reduction_bytes_are_pinned(variant, n):
+    cnf = {3: CNF3, 5: CNF5}[n]
+    assert digest(*VARIANTS[variant](cnf)) == REDUCTION_DIGESTS[variant, n]
+
+
+@pytest.mark.parametrize("name", sorted(GADGET_DIGESTS))
+def test_gadget_bytes_at_cli_defaults_are_pinned(name):
+    bundle = GADGET_BUILDERS[name](**_GADGET_DEFAULTS[name])
+    assert digest(bundle.system) == GADGET_DIGESTS[name]

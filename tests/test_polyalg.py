@@ -47,6 +47,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Polynomial(2, {(1,): Fraction(1)})
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(2, {(1, -1): Fraction(1)})
+
+    def test_duplicate_json_monomial_rejected(self):
+        term = {"exps": [1, 0], "coef": "1/1"}
+        with pytest.raises(ValueError, match="duplicate monomial"):
+            Polynomial.from_json({"n": 2, "terms": [term, term]})
+
     def test_degree_and_constant(self):
         p = P(2, {(2, 1): 1, (0, 0): -5})
         assert p.degree() == 3
@@ -61,6 +70,11 @@ class TestConstruction:
         x = Polynomial.variable(2, 0)
         assert x.eval([Fraction(7), Fraction(0)]) == 7
         assert Polynomial.constant(2, Fraction(5, 2)).eval([0, 0]) == Fraction(5, 2)
+
+    def test_rows_built_from_variables(self):
+        x1, x2 = Polynomial.variables(2)
+        assert x1 == Polynomial.variable(2, 0) and x2 == Polynomial.variable(2, 1)
+        assert x1 ** 2 / 10 + x2 - 4 == P(2, {(2, 0): Fraction(1, 10), (0, 1): 1, (0, 0): -4})
 
 
 class TestArithmetic:
@@ -83,6 +97,16 @@ class TestArithmetic:
     def test_pow(self):
         x = Polynomial.variable(1, 0)
         assert (x + 1) ** 3 == P(1, {(3,): 1, (2,): 3, (1,): 3, (0,): 1})
+        assert x ** 0 == Polynomial.constant(1, 1) and x ** 1 == x
+
+    @settings(max_examples=30)
+    @given(poly_strategy(2), poly_strategy(2))
+    def test_results_hold_only_nonzero_fractions(self, p, q):
+        # arithmetic skips the key checks of __init__, so its results must
+        # already be what __init__ would have built
+        for r in (p + q, p - q, -p, p * q, 3 * p, p / 3, p ** 2, p + 1, 1 - p):
+            assert all(type(c) is Fraction and c for c in r.terms.values())
+            assert r == Polynomial(2, r.terms)
 
 
 class TestCalculusAndStructure:

@@ -126,6 +126,11 @@ class TestSystemShape:
         with pytest.warns(UserWarning):
             build_np_hard_system(parse_dimacs("p cnf 2 1\n1 2 -1 0\n"))
 
+    def test_small_n_superopt_warns_once(self):
+        with pytest.warns(UserWarning) as record:
+            build_superopt_problem(parse_dimacs("p cnf 2 1\n1 2 -1 0\n"))
+        assert len(record) == 1
+
 
 class TestSatWitness:
     def test_verifies_feasible(self):
