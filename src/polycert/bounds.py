@@ -16,6 +16,8 @@ from fractions import Fraction
 from .ratcore import RatLike, format_int, sign
 from .polyalg import UniPoly, uni_degree, uni_eval
 
+MAX_DELTA_BITS = 1 << 20
+
 
 def lipschitz_constant(n: int, d: int, H: RatLike, M: RatLike) -> Fraction:
     """n*d*H*M^(d-1)*(n+d)^(d-1): Lipschitz bound in the sup norm on [-M, M]^n
@@ -42,16 +44,23 @@ def _one_over_eps(n: int, m: int, d: int, H: int, loose: bool) -> Fraction:
 
     With 2^(4-n/2) = 2^q2 * sqrt(2)^r2, the exponent E = n*2^n*d^n is even
     for n >= 1, so the value is the rational (2^q2 * C)^E * 2^(r2*E/2).
+    Shapes whose value would pass MAX_DELTA_BITS bits are refused before
+    the number is built.
     """
     if n < 2 or m < 1 or H < 1:
         raise ValueError("need n >= 2, m >= 1, H >= 1")
     if d < 2 or d % 2 != 0:
         raise ValueError("degree bound d must be an even integer >= 2")
+    if n * d.bit_length() >= MAX_DELTA_BITS.bit_length():  # E >= 2^(n bitlen(d)) is past the cap
+        raise ValueError(f"delta for this shape has more than {MAX_DELTA_BITS} bits")
     C = max(H, 2 * n + 2 * m) * d ** n
     E = n * 2 ** n * d ** n
     q2, r2 = divmod(8 - n, 2)  # 2^(4-n/2) = 2^q2 * sqrt(2)^r2
     if loose and r2:
         q2, r2 = q2 + 1, 0
+    bits = E * (q2 + C.bit_length()) + r2 * E // 2  # upper bound on the bit length
+    if bits > MAX_DELTA_BITS:
+        raise ValueError(f"delta for this shape has about {bits} bits, past the cap of {MAX_DELTA_BITS}")
     return (Fraction(2) ** q2 * C) ** E * 2 ** (r2 * E // 2)
 
 
@@ -176,10 +185,10 @@ class BoundReport:
 def bound_report(n: int, m: int, ell: int, d: int, H: int, loose: bool = False) -> BoundReport:
     """Assemble the full report for a system shape: m linear rows, ell
     nonlinear rows of degree <= d, all heights <= H, n variables."""
+    inv_eps = epsilon_inverse(n, m, d, H, loose)  # first: it refuses oversized shapes
+    delta = delta_bound(n, m, d, H, loose)
     M = box_bound(n, H)
     L = lipschitz_constant(n, d, H, M)
-    inv_eps = epsilon_inverse(n, m, d, H, loose)
-    delta = delta_bound(n, m, d, H, loose)
     phi = phi_bound(L, M, ell, delta)
     assert L.denominator == 1
     return BoundReport(

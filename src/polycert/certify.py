@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratcore import encoding_size_vec, format_int, format_rat
+from .ratcore import Scalar, encoding_size_vec, field_of, format_int, format_rat
 from .polyalg import Polynomial
 from .systems import LE0, PolySystem, Verdict, relax, verify
 from .linear import enumerate_vertices, linear_rows, recession_ray
@@ -73,6 +73,8 @@ def grid_certificate(
     delta = int(delta)
     if delta < 1:
         raise ValueError("delta must be a positive integer")
+    if field_of(x_tilde) is not None:
+        raise ValueError("x_tilde must be rational: the grid cell is located by exact floors")
     x_tilde = [Fraction(c) for c in x_tilde]
     exact = _combined_system(P, g_list)
     v0 = verify(exact, x_tilde)
@@ -139,10 +141,11 @@ def grid_certificate(
     )
 
 
-def check_certificate(system: PolySystem, delta: int, x_bar: Sequence[Fraction]) -> Verdict:
-    """The checking direction: exact verification of x_bar against the
-    delta-relaxed system.  Polynomial time in certificate and system size."""
-    return verify(relax(system, int(delta)), [Fraction(c) for c in x_bar])
+def check_certificate(system: PolySystem, delta: int, x_bar: Sequence[Scalar]) -> Verdict:
+    """The checking direction: exact verification of x_bar, rational or over
+    one field Q[t]/(t^e - k), against the delta-relaxed system.  Polynomial
+    time in certificate and system size."""
+    return verify(relax(system, int(delta)), x_bar)
 
 
 def sos_combine(

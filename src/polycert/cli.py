@@ -25,20 +25,8 @@ from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, parse_rat, precision_
 from .polyalg import Polynomial
 from .systems import EQ0, PolySystem, point_from_json, point_to_json, verify
 from .bounds import bound_report, delta_bound
-from .reductions import (
-    brute_force_sat,
-    build_cubic_system,
-    build_np_hard_system,
-    build_superopt_problem,
-    build_unbounded_instance,
-    cubic_algebraic_witness,
-    parse_dimacs,
-    unbounded_ray_witness,
-    witness_always,
-    witness_epsilon,
-    witness_satisfiable,
-)
-from .gadgets import GADGET_BUILDERS
+from .reductions import VARIANTS, brute_force_sat, parse_dimacs
+from .gadgets import GADGET_BUILDERS, GADGET_DEFAULTS
 from .separable import SeparableCubic, solve_separable
 from .rays import classify_ray, rationalize_unbounded_ray
 from .certify import check_certificate, check_scope, grid_certificate
@@ -52,23 +40,60 @@ class NegativeVerdict(Exception):
     """Well-formed negative outcome: exit code 1."""
 
 
-# -- I/O helpers ---------------------------------------------------------
+# -- input and output -----------------------------------------------------
 
 
-def _read_text(path: str) -> str:
+def _load(inputs: dict, key: str, path: str, parse, what: str):
+    """Read the file at path once, record its digest as inputs[key] and
+    parse its text; an unreadable or malformed file is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from e
-
-
-def _read_json(path: str):
-    text = _read_text(path)
+    inputs[key] = {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
     try:
-        return json.loads(text)
+        return parse(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"{path} is not valid JSON: {e}") from e
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"{path}: bad {what}: {e}") from e
+
+
+def _json(from_json):
+    """A parser of JSON text from a parser of the decoded object."""
+    return lambda text: from_json(json.loads(text))
+
+
+def _point_arg(data) -> list:
+    """Accept a bare point object or a landmark object wrapping one."""
+    if isinstance(data, dict) and "point" in data and "values" not in data:
+        data = data["point"]
+    if not isinstance(data, dict) or "values" not in data:
+        raise UsageError("point file must contain a point object with 'values'")
+    return point_from_json(data)
+
+
+def _load_point(inputs: dict, key: str, path: str, num_vars: int) -> list:
+    point = _load(inputs, key, path, _json(_point_arg), "point")
+    if len(point) != num_vars:
+        raise UsageError(f"{path}: point has {len(point)} coordinates, expected {num_vars}")
+    return point
+
+
+def _flag(parse, name: str, raw: str):
+    """The value of a flag; a malformed one is a usage error."""
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"bad {name} value {raw!r}: {e}") from e
+
+
+def _delta_flag(raw) -> int:
+    delta = _flag(int, "--delta", raw)
+    if delta < 1:
+        raise UsageError("--delta must be a positive integer")
+    return delta
 
 
 def _write_json(path: str, payload) -> str:
@@ -81,36 +106,13 @@ def _write_json(path: str, payload) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _digest(path: str) -> dict:
-    return {
-        "path": path,
-        "sha256": hashlib.sha256(_read_text(path).encode()).hexdigest(),
-    }
-
-
-def _point_arg(data) -> list:
-    """Accept a bare point object or a landmark object wrapping one."""
-    if isinstance(data, dict) and "point" in data and "values" not in data:
-        data = data["point"]
-    if not isinstance(data, dict) or "values" not in data:
-        raise UsageError("point file must contain a point object with 'values'")
-    return point_from_json(data)
-
-
-def _load(path: str, parse, what: str):
-    """Parse the JSON file at path; a malformed payload is a usage error."""
-    data = _read_json(path)
-    try:
-        return parse(data)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"{path}: bad {what}: {e}") from e
-
-
-def _load_point(path: str, num_vars: int) -> list:
-    point = _load(path, _point_arg, "point")
-    if len(point) != num_vars:
-        raise UsageError(f"{path}: point has {len(point)} coordinates, expected {num_vars}")
-    return point
+def _emit(outputs: dict, key: str, payload, path: str | None) -> None:
+    """Write payload to path and report its digest, or inline it without a path."""
+    if path:
+        outputs[f"{key}_path"] = path
+        outputs[f"{key}_sha256"] = _write_json(path, payload)
+    else:
+        outputs[key] = payload
 
 
 def _check_precision_cap() -> None:
@@ -125,10 +127,8 @@ def _check_precision_cap() -> None:
 
 
 def _cmd_verify(args, inputs: dict) -> tuple[int, dict]:
-    inputs["system"] = _digest(args.system)
-    inputs["point"] = _digest(args.point)
-    sys_ = _load(args.system, PolySystem.from_json, "system")
-    point = _load_point(args.point, sys_.num_vars)
+    sys_ = _load(inputs, "system", args.system, _json(PolySystem.from_json), "system")
+    point = _load_point(inputs, "point", args.point, sys_.num_vars)
     v = verify(sys_, point)
     if not v.feasible:
         print(f"point violates rows {list(v.violated)}", file=sys.stderr)
@@ -150,162 +150,82 @@ def _split_for_certify(sys_: PolySystem) -> tuple[PolySystem, list[Polynomial]]:
 
 
 def _cmd_certify(args, inputs: dict) -> tuple[int, dict]:
-    inputs["system"] = _digest(args.system)
-    inputs["point"] = _digest(args.point)
+    delta = None if args.delta == "paper" else _delta_flag(args.delta)
+    big_m = _flag(parse_rat, "--big-m", args.big_m) if args.big_m else None
+    lip = _flag(parse_rat, "--lipschitz", args.lipschitz) if args.lipschitz else None
+    sys_ = _load(inputs, "system", args.system, _json(PolySystem.from_json), "system")
+    x_tilde = _load_point(inputs, "point", args.point, sys_.num_vars)
     inputs["delta"] = args.delta
-    sys_ = _load(args.system, PolySystem.from_json, "system")
-    x_tilde = _load_point(args.point, sys_.num_vars)
     P, g_list = _split_for_certify(sys_)
     check_scope(P, g_list)  # before delta_bound, whose value can be astronomically large
-    if args.delta == "paper":
+    if delta is None:
         meta = sys_.metadata()
         delta = delta_bound(
             sys_.num_vars, len(sys_.constraints), max(meta["d"], 1), max(meta["H"], 1)
         )
-    else:
-        try:
-            delta = int(args.delta)
-        except ValueError as e:
-            raise UsageError("--delta takes an integer or 'paper'") from e
-    big_m = parse_rat(args.big_m) if args.big_m else None
-    lip = parse_rat(args.lipschitz) if args.lipschitz else None
     cert = grid_certificate(P, g_list, delta, x_tilde, M=big_m, L=lip)
     check = check_certificate(sys_, delta, list(cert.point))
     return 0, {"certificate": cert.to_json(), "check": check.to_json()}
 
 
 def _cmd_check(args, inputs: dict) -> tuple[int, dict]:
-    inputs["system"] = _digest(args.system)
-    inputs["point"] = _digest(args.point)
+    delta = _delta_flag(args.delta)
+    sys_ = _load(inputs, "system", args.system, _json(PolySystem.from_json), "system")
+    x_bar = _load_point(inputs, "point", args.point, sys_.num_vars)
     inputs["delta"] = args.delta
-    sys_ = _load(args.system, PolySystem.from_json, "system")
-    x_bar = _load_point(args.point, sys_.num_vars)
-    v = check_certificate(sys_, args.delta, x_bar)
+    v = check_certificate(sys_, delta, x_bar)
     if not v.feasible:
         print(f"relaxed system violated at rows {list(v.violated)}", file=sys.stderr)
     return (0 if v.feasible else 1), {"verdict": v.to_json()}
 
 
-_GADGET_PARAM_TYPES = {
-    "h": {"gamma": parse_rat},
-    "tiny": {"n": int},
-    "khachiyan": {"n": int},
-    "badboy": {"N": int},
-    "socp": {"a": int, "b": int, "c": int, "d": int},
-    "unlucky": {"sigma": parse_rat},
-}
-
-_GADGET_DEFAULTS = {
-    "h": {"gamma": Fraction(0)},
-    "tiny": {"n": 3},
-    "khachiyan": {"n": 3},
-    "badboy": {"N": 2},
-    "socp": {"a": 2, "b": 2, "c": 1, "d": 3},
-    "unlucky": {"sigma": Fraction(0)},
-}
-
-
 def _cmd_gadget(args, inputs: dict) -> tuple[int, dict]:
-    types = _GADGET_PARAM_TYPES[args.name]
-    params = dict(_GADGET_DEFAULTS[args.name])
+    defaults = GADGET_DEFAULTS[args.name]
+    params = dict(defaults)
     for raw in args.param or []:
         key, sep, val = raw.partition("=")
-        if not sep or key not in types:
-            allowed = ", ".join(sorted(types)) or "none"
+        if not sep or key not in defaults:
+            allowed = ", ".join(sorted(defaults)) or "none"
             raise UsageError(
                 f"bad --param {raw!r}; gadget {args.name} takes: {allowed}"
             )
-        try:
-            params[key] = types[key](val)
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError(f"bad value for --param {key}: {e}") from e
+        parse = parse_rat if isinstance(defaults[key], Fraction) else int
+        params[key] = _flag(parse, f"--param {key}", val)
     inputs["name"] = args.name
     inputs["params"] = {k: str(v) for k, v in sorted(params.items())}
     bundle = GADGET_BUILDERS[args.name](**params)
     outputs: dict = {"notes": list(bundle.notes)}
-    sys_json = bundle.system.to_json()
-    lm_json = [lm.to_json() for lm in bundle.landmarks]
-    if args.out:
-        outputs["system_path"] = args.out
-        outputs["system_sha256"] = _write_json(args.out, sys_json)
-    else:
-        outputs["system"] = sys_json
-    if args.landmarks:
-        outputs["landmarks_path"] = args.landmarks
-        outputs["landmarks_sha256"] = _write_json(args.landmarks, lm_json)
-    else:
-        outputs["landmarks"] = lm_json
+    _emit(outputs, "system", bundle.system.to_json(), args.out)
+    _emit(outputs, "landmarks", [lm.to_json() for lm in bundle.landmarks], args.landmarks)
     return 0, outputs
 
 
-def _quad_extension(point: list[Fraction], n: int) -> list[Fraction]:
-    y1, y2 = point[2 * n + 2], point[2 * n + 3]
-    return list(point) + [y1 * y1, y2 * y2]
-
-
 def _cmd_reduce(args, inputs: dict) -> tuple[int, dict]:
-    inputs["cnf"] = _digest(args.cnf)
+    cnf = _load(inputs, "cnf", args.cnf, parse_dimacs, "DIMACS CNF")
     inputs["variant"] = args.variant
+    variant = VARIANTS[args.variant]
+    mode, witness_args, assignment = None, (), None
     if args.witness:
         inputs["witness"] = args.witness
-    try:
-        cnf = parse_dimacs(_read_text(args.cnf))
-    except ValueError as e:
-        raise UsageError(f"{args.cnf}: {e}") from e
-    n = cnf.num_vars
-    objective = None
-    if args.variant == "quad":
-        sys_ = build_np_hard_system(cnf, quadratize=True)
-    elif args.variant == "cubic":
-        sys_ = build_cubic_system(cnf)
-    elif args.variant == "superopt":
-        sys_, objective = build_superopt_problem(cnf)
-    else:
-        sys_, objective = build_unbounded_instance(cnf)
-
-    witness = None
-    assignment = None
-    if args.witness == "always":
-        if args.variant == "quad":
-            witness = _quad_extension(witness_always(cnf), n)
-        elif args.variant == "cubic":
-            witness = cubic_algebraic_witness(cnf)
-        else:
-            raise UsageError("--witness always applies to variants quad and cubic")
-    elif args.witness == "sat":
-        assignment = brute_force_sat(cnf)
-        if assignment is None:
-            raise NegativeVerdict(
-                "formula is unsatisfiable: witness requires a satisfying assignment"
-            )
-        if args.variant == "unbounded":
-            witness = unbounded_ray_witness(cnf, assignment)
-        else:
-            base = witness_satisfiable(cnf, assignment)
-            if args.variant == "quad":
-                witness = _quad_extension(base, n)
-            elif args.variant == "cubic":
-                witness = base[: 2 * n + 4]
-            else:
-                witness = base + [Fraction(0), Fraction(2)]
-    elif args.witness and args.witness.startswith("eps:"):
-        if args.variant != "superopt":
-            raise UsageError("--witness eps:<rat> applies to variant superopt")
-        try:
-            eps = parse_rat(args.witness[4:])
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError(f"bad epsilon: {e}") from e
-        witness = witness_epsilon(cnf, eps)
-    elif args.witness:
-        raise UsageError("--witness takes one of: sat, always, eps:<rat>")
-
+        mode, _, eps = args.witness.partition(":")
+        if args.witness not in ("sat", "always") and not args.witness.startswith("eps:"):
+            raise UsageError("--witness takes one of: sat, always, eps:<rat>")
+        if mode not in variant:
+            applies = ", ".join(name for name, v in VARIANTS.items() if mode in v)
+            raise UsageError(f"--witness {mode} applies to variants {applies}")
+        if mode == "eps":
+            witness_args = (_flag(parse_rat, "epsilon", eps),)
+        elif mode == "sat":
+            assignment = brute_force_sat(cnf)
+            if assignment is None:
+                raise NegativeVerdict(
+                    "formula is unsatisfiable: witness requires a satisfying assignment"
+                )
+            witness_args = (assignment,)
+    sys_, objective = variant["build"](cnf)
+    witness = variant[mode](cnf, *witness_args) if mode else None
     outputs: dict = {"num_vars": sys_.num_vars, "num_rows": len(sys_.constraints)}
-    sys_json = sys_.to_json()
-    if args.out:
-        outputs["system_path"] = args.out
-        outputs["system_sha256"] = _write_json(args.out, sys_json)
-    else:
-        outputs["system"] = sys_json
+    _emit(outputs, "system", sys_.to_json(), args.out)
     if objective is not None:
         outputs["objective"] = objective.to_json()
     if witness is not None:
@@ -317,10 +237,8 @@ def _cmd_reduce(args, inputs: dict) -> tuple[int, dict]:
 
 
 def _cmd_separable(args, inputs: dict) -> tuple[int, dict]:
-    inputs["system"] = _digest(args.system)
-    inputs["cubic"] = _digest(args.cubic)
-    sys_ = _load(args.system, PolySystem.from_json, "system")
-    sc = _load(args.cubic, SeparableCubic.from_json, "separable cubic")
+    sys_ = _load(inputs, "system", args.system, _json(PolySystem.from_json), "system")
+    sc = _load(inputs, "cubic", args.cubic, _json(SeparableCubic.from_json), "separable cubic")
     res = solve_separable(sc, sys_)
     out = res.to_json()
     out["status"] = out["status"].replace("_", "-")
@@ -330,32 +248,24 @@ def _cmd_separable(args, inputs: dict) -> tuple[int, dict]:
 
 
 def _cmd_ray(args, inputs: dict) -> tuple[int, dict]:
-    inputs["poly"] = _digest(args.poly)
-    inputs["from"] = _digest(args.from_)
-    inputs["dir"] = _digest(args.dir)
-    f = _load(args.poly, Polynomial.from_json, "polynomial")
-    x0 = _load_point(args.from_, f.num_vars)
-    v = _load_point(args.dir, f.num_vars)
+    eps = _flag(parse_rat, "--rationalize", args.rationalize) if args.rationalize is not None else None
+    f = _load(inputs, "poly", args.poly, _json(Polynomial.from_json), "polynomial")
+    x0 = _load_point(inputs, "from", args.from_, f.num_vars)
+    v = _load_point(inputs, "dir", args.dir, f.num_vars)
     polytope = None
     if args.polytope:
-        inputs["polytope"] = _digest(args.polytope)
-        polytope = _load(args.polytope, PolySystem.from_json, "system")
+        polytope = _load(inputs, "polytope", args.polytope, _json(PolySystem.from_json), "system")
         if polytope.num_vars != f.num_vars:
             raise UsageError(f"{args.polytope}: polytope has {polytope.num_vars} variables, expected {f.num_vars}")
-    if args.rationalize is not None:
-        try:
-            eps = parse_rat(args.rationalize)
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError(f"bad --rationalize value: {e}") from e
-        inputs["rationalize"] = args.rationalize
-        x, v2 = rationalize_unbounded_ray(f, x0, v, polytope, eps)
-        return 0, {
-            "point": point_to_json(x),
-            "direction": point_to_json(v2),
-            "classification": classify_ray(f, x, v2).to_json(),
-        }
-    rc = classify_ray(f, x0, v)
-    return 0, {"classification": rc.to_json()}
+    if eps is None:
+        return 0, {"classification": classify_ray(f, x0, v).to_json()}
+    inputs["rationalize"] = args.rationalize
+    x, v2 = rationalize_unbounded_ray(f, x0, v, polytope, eps)
+    return 0, {
+        "point": point_to_json(x),
+        "direction": point_to_json(v2),
+        "classification": classify_ray(f, x, v2).to_json(),
+    }
 
 
 def _cmd_bounds(args, inputs: dict) -> tuple[int, dict]:
@@ -379,9 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="generate a hardness instance from a 3-CNF formula")
     p.add_argument("--cnf", required=True, help="DIMACS CNF file (3 literals per clause)")
-    p.add_argument(
-        "--variant", required=True, choices=["quad", "cubic", "superopt", "unbounded"]
-    )
+    p.add_argument("--variant", required=True, choices=list(VARIANTS))
     p.add_argument("--out", help="write the system JSON here instead of inlining it")
     p.add_argument(
         "--witness",
@@ -411,12 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="emit a named example system with landmark points")
     p.add_argument("--name", required=True, choices=sorted(GADGET_BUILDERS))
-    p.add_argument(
-        "--param",
-        action="append",
-        help="key=value, repeatable (h: gamma; tiny/khachiyan: n; badboy: N; "
-        "socp: a,b,c,d; unlucky: sigma)",
-    )
+    takes = "; ".join(f"{name}: {','.join(params)}" for name, params in GADGET_DEFAULTS.items())
+    p.add_argument("--param", action="append", help=f"key=value, repeatable ({takes})")
     p.add_argument("--out", help="write the system JSON here")
     p.add_argument("--landmarks", help="write the landmark list here")
     p.set_defaults(handler=_cmd_gadget)
@@ -459,10 +363,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NegativeVerdict as e:
-        print(str(e), file=sys.stderr)
-        code, outputs = 1, {"error": str(e)}
-    except (PrecisionCapError, ValueError) as e:
+    except (NegativeVerdict, PrecisionCapError, ValueError) as e:
         print(str(e), file=sys.stderr)
         code, outputs = 1, {"error": str(e)}
     report = {

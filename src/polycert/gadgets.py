@@ -298,3 +298,14 @@ GADGET_BUILDERS = {
     "socp": gadget_socp,
     "unlucky": gadget_unlucky,
 }
+
+# Each builder's keyword parameters and their defaults; the type of a
+# default is the type a caller's value is parsed to (Fraction or int).
+GADGET_DEFAULTS = {
+    "h": {"gamma": Fraction(0)},
+    "tiny": {"n": 3},
+    "khachiyan": {"n": 3},
+    "badboy": {"N": 2},
+    "socp": {"a": 2, "b": 2, "c": 1, "d": 3},
+    "unlucky": {"sigma": Fraction(0)},
+}

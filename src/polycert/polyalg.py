@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Sequence
 
 from .ratcore import (
@@ -54,16 +54,16 @@ class Polynomial:
             raise ValueError("num_vars must be >= 0")
         clean: dict[Monomial, Fraction] = {}
         for exps, coef in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != num_vars:
+            key = tuple(map(index, exps))  # refuses 1.5 and "2"
+            if len(key) != num_vars:
                 raise ValueError("exponent tuple length does not match num_vars")
-            if any(e < 0 for e in exps):
+            if key and min(key) < 0:
                 raise ValueError("negative exponent")
             c = Fraction(coef)
             if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[key] = c
         self.num_vars = num_vars
-        self.terms = {e: c for e, c in clean.items() if c}
+        self.terms = clean
 
     @classmethod
     def _from_terms(cls, num_vars: int, terms: dict) -> "Polynomial":
@@ -312,15 +312,12 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        n = int(data["n"])
-        terms: dict[Monomial, Fraction] = {}
-        for t in data["terms"]:
-            exps = tuple(int(e) for e in t["exps"])
-            coef = parse_rat(t["coef"])
-            if exps in terms:
-                raise ValueError("duplicate monomial in polynomial JSON")
-            terms[exps] = coef
-        return cls(n, terms)
+        """The exponent lists go to __init__ as they are, which validates them."""
+        rows = data["terms"]
+        terms = {tuple(t["exps"]): parse_rat(t["coef"]) for t in rows}
+        if len(terms) != len(rows):
+            raise ValueError("duplicate monomial in polynomial JSON")
+        return cls(index(data["n"]), terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"

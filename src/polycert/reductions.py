@@ -370,6 +370,38 @@ def unbounded_ray_witness(cnf: CnfFormula, assignment: Sequence[bool]) -> list[F
     return x + [-v for v in x] + [Y_BAR[0], Y_BAR[1], Fraction(1), Fraction(0), Fraction(4)]
 
 
+def _with_squares(cnf: CnfFormula, point: list) -> list:
+    """A point of the np-hard layout extended by y_12 = y_1^2, y_22 = y_2^2."""
+    y1, y2 = point[2 * cnf.num_vars + 2 : 2 * cnf.num_vars + 4]
+    return point + [y1 * y1, y2 * y2]
+
+
+# The CLI's reduction variants.  "build" maps a formula to (system,
+# objective or None); each witness mode maps to the builder of a feasible
+# point in the variant's layout: "sat" takes (cnf, assignment), "always"
+# takes (cnf) and "eps" takes (cnf, eps).
+VARIANTS = {
+    "quad": {
+        "build": lambda cnf: (build_np_hard_system(cnf, quadratize=True), None),
+        "sat": lambda cnf, assignment: _with_squares(cnf, witness_satisfiable(cnf, assignment)),
+        "always": lambda cnf: _with_squares(cnf, witness_always(cnf)),
+    },
+    "cubic": {
+        "build": lambda cnf: (build_cubic_system(cnf), None),
+        # the cubic layout is the np-hard layout without the (d, s) chain
+        "sat": lambda cnf, assignment: witness_satisfiable(cnf, assignment)[: 2 * cnf.num_vars + 4],
+        "always": cubic_algebraic_witness,
+    },
+    "superopt": {
+        "build": build_superopt_problem,
+        # z = (0, 2) is feasible on the circle rows when s = 0
+        "sat": lambda cnf, assignment: witness_satisfiable(cnf, assignment) + [Fraction(0), Fraction(2)],
+        "eps": witness_epsilon,
+    },
+    "unbounded": {"build": build_unbounded_instance, "sat": unbounded_ray_witness},
+}
+
+
 def extract_assignment(point: Sequence[Fraction], n: int | None = None) -> tuple[bool, ...]:
     """Sign-rounded assignment from the x-prefix: w_j true iff x_j > 0
     (zero maps to false).  n is inferred for the 3n+5 layout when omitted."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .ratcore import (
     AlgebraicElement,
@@ -19,6 +20,7 @@ from .ratcore import (
     dyadic_floor,
     encoding_size_vec,
     format_rat,
+    parse_rat,
     precision_cap,
     rational_sqrt,
     refine_dyadic,
@@ -73,8 +75,20 @@ class SeparableCubic:
 
     @classmethod
     def from_json(cls, data: dict) -> "SeparableCubic":
-        quads = tuple(tuple(Fraction(v) for v in quad) for quad in data["coeffs"])
+        quads = tuple(tuple(map(_coefficient, quad)) for quad in data["coeffs"])
+        if "n" in data and index(data["n"]) != len(quads):
+            raise ValueError(f"n is {data['n']} but there are {len(quads)} coefficient rows")
         return cls(quads)
+
+
+def _coefficient(v) -> Fraction:
+    """A coefficient read from JSON: a "num/den" string or an integer.  A JSON
+    float is refused: its binary rounding would enter the exact solver."""
+    if isinstance(v, str):
+        return parse_rat(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise TypeError(f"coefficient {v!r} must be a \"num/den\" string or an integer")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from .ratcore import (
@@ -156,7 +157,7 @@ class PolySystem:
         objective = (
             Polynomial.from_json(data["objective"]) if "objective" in data else None
         )
-        return cls(int(data["n"]), constraints, data["var_names"], objective)
+        return cls(index(data["n"]), constraints, data["var_names"], objective)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)

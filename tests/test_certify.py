@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polycert.polyalg import Polynomial
-from polycert.ratcore import encoding_size_vec
+from polycert.ratcore import AlgebraicElement, encoding_size_vec
 from polycert.systems import EQ0, LE0, PolySystem, relax, verify
 from polycert.certify import (
     Certificate,
@@ -193,3 +193,19 @@ def test_certificate_is_frozen_dataclass():
     c = Certificate((F(0),), 1, 1, (0,), 2)
     with pytest.raises(Exception):
         c.phi = 2
+
+
+class TestAlgebraicPoints:
+    def sqrt2_system(self):
+        x = Polynomial.variable(1, 0)
+        return PolySystem(1, [(-x, LE0), (x - 2, LE0), (x * x - 2, LE0)])
+
+    def test_check_accepts_a_point_over_an_extension_field(self):
+        v = check_certificate(self.sqrt2_system(), 10, [AlgebraicElement.root(2, 2)])
+        assert v.feasible
+
+    def test_grid_certificate_refuses_an_irrational_seed(self):
+        sys_ = self.sqrt2_system()
+        P = PolySystem(1, [(c.poly, c.rel) for c in sys_.constraints[:2]])
+        with pytest.raises(ValueError, match="rational"):
+            grid_certificate(P, [sys_.constraints[2].poly], 10, [AlgebraicElement.root(2, 2)])

@@ -159,10 +159,14 @@ MALFORMED = {
     "poly": {
         "no-n": {"terms": []},
         "zero-denominator": {"n": 2, "terms": [{"exps": [1, 0], "coef": "1/0"}]},
+        "fractional-exponent": {"n": 2, "terms": [{"exps": [1.5, 0], "coef": "1"}]},
+        "string-exponent": {"n": 2, "terms": [{"exps": ["2", 0], "coef": "1"}]},
     },
     "cubic": {
         "no-coeffs": {"rows": []},
         "zero-denominator": {"coeffs": [["1/0", "0", "0", "0"], ["1", "0", "0", "0"]]},
+        "float-coefficient": {"coeffs": [["1", "0", "-6", 0.1], ["1", "0", "-6", "5"]]},
+        "n-mismatch": {"n": 3, "coeffs": [["1", "0", "-6", "5"], ["1", "0", "-6", "5"]]},
     },
 }
 
@@ -751,6 +755,14 @@ class TestBounds:
             exact["outputs"]["bounds"]["delta"]
         )
 
+    def test_oversized_delta_is_refused_before_it_is_built(self, capsys):
+        code, report, _ = run(
+            capsys,
+            ["bounds", "--n", "8", "--m", "1", "--ell", "1", "--d", "2", "--H", "1"],
+        )
+        assert code == 1
+        assert "bits" in report["outputs"]["error"]
+
     def test_delta_past_int_str_digit_limit_is_reported_exactly(self, capsys):
         code, report, _ = run(
             capsys,
@@ -761,3 +773,99 @@ class TestBounds:
         b = report["outputs"]["bounds"]
         assert decimal.Decimal(b["delta"]) == decimal.Decimal(delta)
         assert b["delta_bits"] == delta.bit_length()
+
+
+class TestFlagsAndFiles:
+    """Bad flags exit 2 without a report; each input file is read once."""
+
+    @pytest.mark.parametrize("cmd, delta", [("check", "0"), ("certify", "-3")])
+    def test_nonpositive_delta_is_usage_error(self, capsys, tmp_path, cmd, delta):
+        path = unit_box_with_disc(tmp_path)
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)]))
+        code, report, err = run(capsys, [cmd, "--system", path, "--point", pt, "--delta", delta])
+        assert code == 2
+        assert report is None
+        assert "--delta" in err
+
+    def test_zero_denominator_flag_is_usage_error(self, capsys, tmp_path):
+        path = unit_box_with_disc(tmp_path)
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)]))
+        code, report, err = run(
+            capsys, ["certify", "--system", path, "--point", pt, "--delta", "10", "--big-m", "1/0"]
+        )
+        assert code == 2
+        assert report is None
+        assert "--big-m" in err
+
+    def test_file_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(0)]))
+        code, report, err = run(capsys, ["verify", "--system", str(bad), "--point", pt])
+        assert code == 2
+        assert report is None
+        assert "bad.json" in err
+
+    @pytest.mark.parametrize("cmd", ["verify", "check", "certify", "separable", "ray", "reduce"])
+    def test_each_input_file_is_opened_once(self, capsys, tmp_path, monkeypatch, cmd):
+        box_rows = []
+        for i in range(2):
+            box_rows += [(-Polynomial.variable(2, i), LE0), (Polynomial.variable(2, i) - 3, LE0)]
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(TWO_CLAUSE)
+        files = {
+            "system": unit_box_with_disc(tmp_path),
+            "point": write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)])),
+            "box": write_json(tmp_path / "box.json", PolySystem(2, box_rows).to_json()),
+            "cubic": write_json(tmp_path / "cubic.json", {"coeffs": [["1", "0", "-6", "5"]] * 2}),
+            "poly": write_json(tmp_path / "f.json", Polynomial.variable(2, 0).to_json()),
+            "dir": write_json(tmp_path / "dir.json", point_to_json([F(1), F(0)])),
+            "cnf": str(cnf),
+        }
+        argv = {
+            "verify": ["--system", "{system}", "--point", "{point}"],
+            "check": ["--system", "{system}", "--point", "{point}", "--delta", "10"],
+            "certify": ["--system", "{system}", "--point", "{point}", "--delta", "10"],
+            "separable": ["--system", "{box}", "--cubic", "{cubic}"],
+            "ray": ["--poly", "{poly}", "--from", "{point}", "--dir", "{dir}", "--polytope", "{box}"],
+            "reduce": ["--cnf", "{cnf}", "--variant", "quad"],
+        }[cmd]
+        argv = [cmd] + [a.format(**files) for a in argv]
+        reads = []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads.append(path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code, report, _ = run(capsys, argv)
+        assert code == 0
+        read_paths = [a for a in argv if a in files.values()]
+        assert sorted(reads) == sorted(read_paths)
+        assert [d["path"] for d in report["inputs"].values() if isinstance(d, dict)] == read_paths
+
+
+class TestAlgebraicPoints:
+    """Points over Q(sqrt k) reach check and certify without a traceback."""
+
+    def sqrt2_files(self, tmp_path):
+        x = Polynomial.variable(1, 0)
+        rows = [(-x, LE0), (x - 2, LE0), (x * x - 2, LE0)]
+        path = write_json(tmp_path / "s.json", PolySystem(1, rows).to_json())
+        pt = write_json(tmp_path / "p.json", point_to_json([AlgebraicElement.root(2, 2)]))
+        return path, pt
+
+    def test_check_verifies_in_the_extension_field(self, capsys, tmp_path):
+        path, pt = self.sqrt2_files(tmp_path)
+        code, report, _ = run(capsys, ["check", "--system", path, "--delta", "10", "--point", pt])
+        assert code == 0
+        verdict = report["outputs"]["verdict"]
+        assert verdict["feasible"] is True
+        assert verdict["residuals"][2] == {"e": 2, "k": 2, "coeffs": ["-1/1", "0/1"]}
+
+    def test_certify_refuses_an_irrational_seed(self, capsys, tmp_path):
+        path, pt = self.sqrt2_files(tmp_path)
+        code, report, _ = run(capsys, ["certify", "--system", path, "--point", pt, "--delta", "10"])
+        assert code == 1
+        assert "rational" in report["outputs"]["error"]

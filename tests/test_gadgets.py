@@ -1,5 +1,6 @@
 """Named example bundles and their exact landmark outcomes."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from polycert.ratcore import AlgebraicElement, encoding_size
 from polycert.systems import verify
 from polycert.gadgets import (
+    GADGET_BUILDERS,
+    GADGET_DEFAULTS,
     GadgetBundle,
     Landmark,
     gadget_badboy,
@@ -233,3 +236,9 @@ def test_bundle_json_smoke():
     assert data["landmarks"][0]["expect_worst"] == "1/256"
     h = gadget_h(F(0)).to_json()
     assert h["landmarks"][0]["name"] == "ystar"
+
+
+def test_defaults_name_every_builder_parameter():
+    for name, builder in GADGET_BUILDERS.items():
+        assert list(inspect.signature(builder).parameters) == list(GADGET_DEFAULTS[name])
+        builder(**GADGET_DEFAULTS[name])

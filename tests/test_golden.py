@@ -11,25 +11,11 @@ import json
 
 import pytest
 
-from polycert.cli import _GADGET_DEFAULTS
-from polycert.gadgets import GADGET_BUILDERS
-from polycert.reductions import (
-    CnfFormula,
-    build_cubic_system,
-    build_np_hard_system,
-    build_superopt_problem,
-    build_unbounded_instance,
-)
+from polycert.gadgets import GADGET_BUILDERS, GADGET_DEFAULTS
+from polycert.reductions import VARIANTS, CnfFormula
 
 CNF3 = CnfFormula(3, ((1, -2, 3), (-1, 2, 3)))
 CNF5 = CnfFormula(5, ((1, -2, 3), (-1, 4, 5), (2, -3, -5), (-4, 5, 1), (3, 4, -2)))
-
-VARIANTS = {
-    "quad": lambda cnf: (build_np_hard_system(cnf, quadratize=True), None),
-    "cubic": lambda cnf: (build_cubic_system(cnf), None),
-    "superopt": build_superopt_problem,
-    "unbounded": build_unbounded_instance,
-}
 
 
 def digest(system, objective=None) -> str:
@@ -63,10 +49,10 @@ GADGET_DIGESTS = {
 @pytest.mark.parametrize("variant, n", sorted(REDUCTION_DIGESTS))
 def test_reduction_bytes_are_pinned(variant, n):
     cnf = {3: CNF3, 5: CNF5}[n]
-    assert digest(*VARIANTS[variant](cnf)) == REDUCTION_DIGESTS[variant, n]
+    assert digest(*VARIANTS[variant]["build"](cnf)) == REDUCTION_DIGESTS[variant, n]
 
 
 @pytest.mark.parametrize("name", sorted(GADGET_DIGESTS))
 def test_gadget_bytes_at_cli_defaults_are_pinned(name):
-    bundle = GADGET_BUILDERS[name](**_GADGET_DEFAULTS[name])
+    bundle = GADGET_BUILDERS[name](**GADGET_DEFAULTS[name])
     assert digest(bundle.system) == GADGET_DIGESTS[name]

@@ -197,3 +197,19 @@ class TestUnivariateHelpers:
         t = AlgebraicElement.root(2, 2)
         zero = t - t
         assert uni_degree([Fraction(1), zero]) == 0
+
+
+class TestKeyValidation:
+    @pytest.mark.parametrize("key", [(1.5, 0), ("2", 0), (None, 0)])
+    def test_non_integer_exponent_rejected(self, key):
+        with pytest.raises(TypeError):
+            Polynomial(2, {key: Fraction(1)})
+
+    @pytest.mark.parametrize("exps", [[1.5, 0], ["2", 0]])
+    def test_json_exponents_must_be_integers(self, exps):
+        with pytest.raises(TypeError):
+            Polynomial.from_json({"n": 2, "terms": [{"exps": exps, "coef": "1"}]})
+
+    def test_json_n_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            Polynomial.from_json({"n": "2", "terms": []})

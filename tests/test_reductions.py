@@ -9,6 +9,7 @@ import pytest
 from polycert.ratcore import AlgebraicElement, PRECISION_CAP_ENV, PrecisionCapError, encoding_size, encoding_size_vec
 from polycert.systems import EQ0, LE0, verify, verify_alg
 from polycert.reductions import (
+    VARIANTS,
     CnfFormula,
     Y_BAR,
     assignment_vector,
@@ -357,3 +358,18 @@ class TestExtractAssignment:
     def test_ambiguous_length_needs_n(self):
         with pytest.raises(ValueError):
             extract_assignment([F(1)] * 7)
+
+
+class TestVariants:
+    """Every witness mode of every CLI variant gives a point of its layout."""
+
+    @pytest.mark.parametrize(
+        "variant, mode",
+        [(v, m) for v, table in VARIANTS.items() for m in table if m != "build"],
+    )
+    def test_witness_fits_the_built_system(self, variant, mode):
+        cnf = parse_dimacs(TWO_CLAUSE)
+        system, _ = VARIANTS[variant]["build"](cnf)
+        args = {"sat": (brute_force_sat(cnf),), "eps": (F(1, 100),), "always": ()}[mode]
+        v = verify(system, VARIANTS[variant][mode](cnf, *args))
+        assert v.feasible or (mode == "eps" and v.worst_violation <= F(1, 100))

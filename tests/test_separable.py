@@ -260,3 +260,19 @@ def test_solver_agrees_with_grid_oracle(n, cases, k):
         checked += 1
         assert r.status == verdict
     assert checked >= cases // 2
+
+
+class TestCubicJson:
+    def test_integer_and_string_coefficients_agree(self):
+        a = SeparableCubic.from_json({"n": 1, "coeffs": [[1, 0, -6, 5]]})
+        b = SeparableCubic.from_json({"coeffs": [["1", "0", "-6/1", "5"]]})
+        assert a == b
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, None])
+    def test_other_json_values_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            SeparableCubic.from_json({"coeffs": [["1", "0", "0", bad]]})
+
+    def test_n_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="coefficient rows"):
+            SeparableCubic.from_json({"n": 2, "coeffs": [["1", "0", "0", "0"]]})
