@@ -27,7 +27,6 @@ from .ratcore import (
     encoding_size_vec,
     format_rat,
     parse_rat,
-    rational_sqrt,
 )
 from .polyalg import Polynomial
 from .systems import (
@@ -48,7 +47,6 @@ from .bounds import (
     BoundReport,
     bound_report,
     box_bound,
-    cauchy_bounds,
     delta_bound,
     epsilon_inverse,
     lipschitz_constant,
@@ -71,7 +69,7 @@ from .reductions import (
     witness_satisfiable,
 )
 from .gadgets import GADGET_BUILDERS, GadgetBundle, Landmark
-from .separable import SeparableCubic, SolveResult, solve_separable, tartaglia_shift
+from .separable import SeparableCubic, SolveResult, solve_separable
 from .rays import (
     RayClass,
     classify_ray,
@@ -111,7 +109,6 @@ __all__ = [
     "build_np_hard_system",
     "build_superopt_problem",
     "build_unbounded_instance",
-    "cauchy_bounds",
     "check_certificate",
     "classify_ray",
     "cubic_growth_direction",
@@ -133,13 +130,11 @@ __all__ = [
     "point_from_json",
     "point_to_json",
     "quartic_counterexample",
-    "rational_sqrt",
     "rationalize_unbounded_ray",
     "recession_ray",
     "relax",
     "solve_separable",
     "sos_combine",
-    "tartaglia_shift",
     "unbounded_ray_witness",
     "verify",
     "verify_alg",

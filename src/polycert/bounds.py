@@ -1,5 +1,5 @@
-"""Explicit numeric bounds: Lipschitz constants, bounding boxes, separation
-bounds, and Cauchy root bounds.
+"""Explicit numeric bounds: Lipschitz constants, bounding boxes, and separation
+bounds.
 
 The separation bound delta(n, m, d, H) involves 2^(4 - n/2), irrational for
 odd n; it is raised to an even power, so delta is computed exactly in
@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import RatLike, format_int, sign
-from .polyalg import UniPoly, uni_degree, uni_eval
+from .ratcore import RatLike, format_int
 
 MAX_DELTA_BITS = 1 << 20
 
@@ -79,77 +78,6 @@ def phi_bound(L: RatLike, M: RatLike, ell: int, delta: int) -> int:
     if ell < 1 or delta < 1:
         raise ValueError("ell and delta must be >= 1")
     return math.ceil(Fraction(L) * Fraction(M) * ell * delta)
-
-
-def cauchy_bounds(p: UniPoly) -> tuple[Fraction, Fraction]:
-    """(M, delta) with 1/delta <= |root| <= M for every real root of p.
-
-    Requires nonzero leading and constant coefficients (deflate zero roots
-    first); M = 1 + max_{i<n} |a_i/a_n| and delta = 1 + max_{i>=1} |a_i/a_0|.
-    """
-    coeffs = list(p)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    if coeffs[0] == 0:
-        raise ValueError("constant coefficient is zero; deflate zero roots first")
-    an = abs(coeffs[-1])
-    a0 = abs(coeffs[0])
-    M = 1 + max(abs(c) / an for c in coeffs[:-1])
-    delta = 1 + max(abs(c) / a0 for c in coeffs[1:])
-    return M, delta
-
-
-def locate_roots_bisection(
-    p: UniPoly, depth: int = 60, scan: int = 64
-) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals (a, b) with sign(p(a)) != sign(p(b)), found by a
-    dyadic scan of the Cauchy bracket followed by bisection to width 2^-depth.
-
-    Locates simple (sign-changing) real roots; an exact root hit during the
-    scan is returned as a degenerate interval (r, r).
-    """
-    if uni_degree(p) < 1:
-        return []
-    coeffs = list(p)
-    while coeffs[-1] == 0:
-        coeffs.pop()
-    shift = 0
-    while coeffs[0] == 0:  # deflate roots at zero, remember to report them
-        coeffs.pop(0)
-        shift += 1
-    out: list[tuple[Fraction, Fraction]] = []
-    if shift:
-        out.append((Fraction(0), Fraction(0)))
-    if len(coeffs) >= 2:
-        M, _ = cauchy_bounds(coeffs)
-        step = 2 * M / scan
-        prev_x, prev_s = -M, sign(uni_eval(coeffs, -M))
-        for i in range(1, scan + 1):
-            x = -M + i * step
-            s = sign(uni_eval(coeffs, x))
-            if s == 0:
-                # exact hit; resetting prev below keeps the next bracket
-                # from re-finding this root
-                out.append((x, x))
-            elif prev_s != 0 and s != prev_s:
-                lo, hi = prev_x, x
-                for _ in range(depth):
-                    if hi - lo <= Fraction(1, 1 << depth):
-                        break
-                    mid = (lo + hi) / 2
-                    sm = sign(uni_eval(coeffs, mid))
-                    if sm == 0:
-                        lo = hi = mid
-                        break
-                    if sm == prev_s:
-                        lo = mid
-                    else:
-                        hi = mid
-                out.append((lo, hi))
-            prev_x, prev_s = x, s
-    return sorted(set(out))
 
 
 @dataclass(frozen=True)

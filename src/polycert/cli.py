@@ -2,8 +2,8 @@
 
 Exit codes form a trichotomy so shell pipelines can tell "checked and false"
 from "could not check": 0 = success or feasible; 1 = well-formed negative
-verdict (infeasible, unsatisfiable, no rational point, or a precondition of
-the mathematics not met); 2 = usage or I/O error.
+verdict (infeasible, unsatisfiable, a refinement that reached its precision
+cap, or a precondition of the mathematics not met); 2 = usage or I/O error.
 
 Every payload is one JSON object on standard output; diagnostics go to
 standard error.  Numbers inside payloads are "num/den" strings and every
@@ -44,14 +44,16 @@ class NegativeVerdict(Exception):
 
 
 def _load(inputs: dict, key: str, path: str, parse, what: str):
-    """Read the file at path once, record its digest as inputs[key] and
-    parse its text; an unreadable or malformed file is a usage error."""
+    """Read the file at path once, record the digest of its bytes as
+    inputs[key] and parse its UTF-8 text; an unreadable or malformed file is
+    a usage error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from e
-    inputs[key] = {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    inputs[key] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
     try:
         return parse(text)
     except json.JSONDecodeError as e:
@@ -241,7 +243,6 @@ def _cmd_separable(args, inputs: dict) -> tuple[int, dict]:
     sc = _load(inputs, "cubic", args.cubic, _json(SeparableCubic.from_json), "separable cubic")
     res = solve_separable(sc, sys_)
     out = res.to_json()
-    out["status"] = out["status"].replace("_", "-")
     if not res.feasible:
         print(f"verdict: {out['status']}", file=sys.stderr)
     return (0 if res.feasible else 1), out

@@ -64,20 +64,6 @@ def encoding_size_vec(values: Iterable[RatLike]) -> int:
     return sum(encoding_size(v) for v in values)
 
 
-def rational_sqrt(q: RatLike) -> Fraction | None:
-    """Exact square root of q >= 0 when it is rational, else None."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("rational_sqrt of a negative value")
-    rn = math.isqrt(q.numerator)
-    if rn * rn != q.numerator:
-        return None
-    rd = math.isqrt(q.denominator)
-    if rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def integer_nth_root(x: int, e: int) -> int:
     """floor(x ** (1/e)) for x >= 0, e >= 1, by Newton iteration on integers."""
     if x < 0:

@@ -268,7 +268,7 @@ def point_to_json(x: Sequence[Scalar]) -> dict:
 
 def point_from_json(data: dict) -> list:
     if "e" in data:
-        e, k = int(data["e"]), int(data["k"])
+        e, k = index(data["e"]), index(data["k"])
         return [
             AlgebraicElement(e, k, tuple(parse_rat(c) for c in row))
             for row in data["values"]

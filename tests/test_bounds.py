@@ -1,4 +1,4 @@
-"""Numeric bound formulas and univariate root bracketing."""
+"""Numeric bound formulas."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,9 @@ from polycert.bounds import (
     BoundReport,
     bound_report,
     box_bound,
-    cauchy_bounds,
     delta_bound,
     epsilon_inverse,
     lipschitz_constant,
-    locate_roots_bisection,
     phi_bound,
 )
 from polycert.polyalg import Polynomial, uni_eval
@@ -105,37 +103,6 @@ class TestDeltaFormula:
             delta_bound(1, 1, 2, 2)
         with pytest.raises(ValueError):
             delta_bound(2, 1, 3, 2)  # odd degree bound
-
-
-class TestCauchy:
-    def test_quadratic_with_known_roots(self):
-        # x^2 - 3x + 2 = (x-1)(x-2)
-        M, delta = cauchy_bounds([Fraction(2), Fraction(-3), Fraction(1)])
-        assert M == 4 and delta == Fraction(5, 2)
-        for r in (1, 2):
-            assert Fraction(1) / delta <= r <= M
-
-    def test_rejects_zero_endpoints(self):
-        with pytest.raises(ValueError):
-            cauchy_bounds([Fraction(0), Fraction(1)])
-
-    def test_bisection_isolates_both_roots(self):
-        p = [Fraction(2), Fraction(-3), Fraction(1)]
-        roots = locate_roots_bisection(p)
-        assert len(roots) == 2
-        for (lo, hi), expect in zip(roots, (1, 2)):
-            assert lo <= expect <= hi
-
-    def test_bisection_reports_zero_root(self):
-        # x^3 - 2x^2 = x^2 (x - 2)
-        p = [Fraction(0), Fraction(0), Fraction(-2), Fraction(1)]
-        roots = locate_roots_bisection(p)
-        assert roots[0] == (0, 0)
-        lo, hi = roots[-1]
-        assert lo <= 2 <= hi
-
-    def test_constant_has_no_roots(self):
-        assert locate_roots_bisection([Fraction(5)]) == []
 
 
 class TestBoundReport:

@@ -5,6 +5,7 @@ report on stdout, the diagnostics on stderr, and the exit code.
 """
 
 import decimal
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -155,6 +156,8 @@ MALFORMED = {
         "zero-denominator": {"values": ["1/0", "0"]},
         "wrong-length": {"values": ["0", "0", "0"]},
         "not-a-number": {"values": ["abc", "0"]},
+        "fractional-field-degree": {"e": 2.9, "k": 2, "values": [["0", "1"], ["0", "1"]]},
+        "string-radicand": {"e": 2, "k": "2", "values": [["0", "1"], ["0", "1"]]},
     },
     "poly": {
         "no-n": {"terms": []},
@@ -805,6 +808,13 @@ class TestFlagsAndFiles:
         assert code == 2
         assert report is None
         assert "bad.json" in err
+
+    def test_digest_is_that_of_the_file_bytes(self, capsys, tmp_path):
+        cnf = tmp_path / "crlf.cnf"
+        cnf.write_bytes(TWO_CLAUSE.replace("\n", "\r\n").encode())
+        code, report, _ = run(capsys, ["reduce", "--cnf", str(cnf), "--variant", "quad"])
+        assert code == 0
+        assert report["inputs"]["cnf"]["sha256"] == hashlib.sha256(cnf.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("cmd", ["verify", "check", "certify", "separable", "ray", "reduce"])
     def test_each_input_file_is_opened_once(self, capsys, tmp_path, monkeypatch, cmd):

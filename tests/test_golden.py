@@ -4,15 +4,25 @@ System JSON v1 is a file format: the bytes every builder writes for a fixed
 input are pinned here, so a refactor of how polynomials are built cannot
 change an instance silently.  A digest covers `PolySystem.dumps()` and, for
 builders that return one, the objective's JSON.
+
+The separable solver's reports over a fixed seeded family are pinned the
+same way, so a change to how it finds critical points cannot change a
+verdict, a point or its size silently.
 """
 
 import hashlib
 import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from polycert.gadgets import GADGET_BUILDERS, GADGET_DEFAULTS
+from polycert.polyalg import Polynomial
 from polycert.reductions import VARIANTS, CnfFormula
+from polycert.separable import SeparableCubic, solve_separable
+from polycert.systems import LE0, PolySystem
 
 CNF3 = CnfFormula(3, ((1, -2, 3), (-1, 2, 3)))
 CNF5 = CnfFormula(5, ((1, -2, 3), (-1, 4, 5), (2, -3, -5), (-4, 5, 1), (3, 4, -2)))
@@ -56,3 +66,39 @@ def test_reduction_bytes_are_pinned(variant, n):
 def test_gadget_bytes_at_cli_defaults_are_pinned(name):
     bundle = GADGET_BUILDERS[name](**GADGET_DEFAULTS[name])
     assert digest(bundle.system) == GADGET_DIGESTS[name]
+
+
+SEPARABLE_DIGEST = "84c5d9bbf52eeb1ddddc57d17b2490947cee61b13b7967700c285afc8b9a845b"
+
+
+def separable_family():
+    """160 instances: n = 1 and 2, boxes and boxes cut by a slanted
+    half-plane.  Every third instance puts each coordinate's local minimum
+    at +-sqrt(q) with its value just below or at 0, so the family reaches
+    the dyadic refinement and the exact zero minimum as well as vertex hits."""
+    rng = random.Random(5)
+    for i in range(160):
+        n = 1 + i % 2
+        xs = Polynomial.variables(n)
+        quads, rows = [], []
+        for xi in xs:
+            if i % 3 == 2:
+                a, q = rng.choice([-2, -1, 1, 2]), rng.randint(1, 7)
+                quads.append((a, 0, -3 * a * q, math.isqrt(4 * a * a * q ** 3)))
+                lo, hi = (0, q) if a > 0 else (-q, 0)
+            else:
+                quads.append((rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-4, 4), rng.randint(-8, 8), rng.randint(-8, 8)))
+                lo = Fraction(rng.randint(-8, 4), 2)
+                hi = lo + Fraction(rng.randint(1, 8), 2)
+            rows += [(-xi + lo, LE0), (xi - hi, LE0)]
+        if n == 2 and i % 4 == 3:
+            rows.append((rng.randint(-3, 3) * xs[0] + rng.randint(1, 3) * xs[1] - rng.randint(-4, 4), LE0))
+        yield SeparableCubic(tuple(quads)), PolySystem(n, rows)
+
+
+def test_separable_reports_are_pinned():
+    reports = [solve_separable(sc, system).to_json() for sc, system in separable_family()]
+    assert {r["status"] for r in reports} == {"point", "infeasible"}
+    refined = [r for r in reports if "point" in r and any(Fraction(v).denominator >= 256 for v in r["point"]["values"])]
+    assert refined
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == SEPARABLE_DIGEST

@@ -20,7 +20,6 @@ from polycert.ratcore import (
     lift,
     parse_rat,
     precision_cap,
-    rational_sqrt,
     refine_dyadic,
     squarefree_split,
     theta_enclosure,
@@ -88,19 +87,6 @@ class TestEncodingSize:
 
 
 class TestRoots:
-    def test_rational_sqrt_exact(self):
-        assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-
-    def test_rational_sqrt_zero(self):
-        assert rational_sqrt(Fraction(0)) == 0
-
-    def test_rational_sqrt_irrational(self):
-        assert rational_sqrt(Fraction(2)) is None
-
-    def test_rational_sqrt_negative_rejected(self):
-        with pytest.raises(ValueError):
-            rational_sqrt(Fraction(-1))
-
     @given(st.integers(min_value=0, max_value=10 ** 24), st.integers(min_value=2, max_value=5))
     def test_integer_nth_root_brackets(self, x, e):
         r = integer_nth_root(x, e)

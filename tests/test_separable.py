@@ -1,4 +1,4 @@
-"""Separable-cubic feasibility: shift algebra, radical signs, the solver."""
+"""Separable-cubic feasibility: radical signs, the solver."""
 
 import random
 from fractions import Fraction
@@ -7,20 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycert.polyalg import Polynomial, uni_eval
+from polycert.polyalg import Polynomial, uni_derivative, uni_eval
 from polycert.ratcore import AlgebraicElement, encoding_size_vec, sign
 from polycert.systems import LE0, PolySystem
 from polycert.linear import linear_rows, satisfies
 from polycert.separable import (
     RadicalSum,
     SeparableCubic,
-    ShiftedCubic,
-    critical_radical,
-    gamma_star_root_bound,
-    irrational_coordinate,
-    rational_local_min,
+    _derivative_roots,
     solve_separable,
-    tartaglia_shift,
 )
 
 F = Fraction
@@ -41,74 +36,6 @@ def box(bounds) -> PolySystem:
         rows.append((Polynomial(n, {m: F(-1), zero: F(lo)}), LE0))
         rows.append((Polynomial(n, {m: F(1), zero: F(-hi)}), LE0))
     return PolySystem(n, rows)
-
-
-class TestShift:
-    def test_depressed_coefficients(self):
-        sh = tartaglia_shift(cubic((1, 3, 0, 0)))
-        assert isinstance(sh, ShiftedCubic)
-        assert sh.terms == ((F(1), F(-3), F(2)),)
-
-    def test_shift_matches_affine_substitution(self):
-        sc = cubic((2, -5, 7, F(1, 3)))
-        (a, ct, dt), = tartaglia_shift(sc).terms
-        b = sc.coeffs[0][1]
-        shifted = sc.polynomial().affine_substitute([[F(1)]], [-b / (3 * sc.coeffs[0][0])])
-        assert shifted.coefficient((3,)) == a
-        assert shifted.coefficient((2,)) == 0
-        assert shifted.coefficient((1,)) == ct
-        assert shifted.constant_term() == dt
-
-    def test_critical_radical_branches(self):
-        assert critical_radical(F(1), F(-3)) == (F(1), 1)
-        assert critical_radical(F(-2), F(6)) == (F(1), -1)
-        assert critical_radical(F(1), F(3)) is None
-        with pytest.raises(ValueError):
-            critical_radical(F(0), F(1))
-
-
-class TestLocalMin:
-    def test_single_coordinate(self):
-        assert rational_local_min(cubic((1, 0, -3, 0))) == ([F(1)], F(-2))
-
-    def test_two_coordinates(self):
-        sc = cubic((1, 0, -3, 0), (1, 0, -12, 0))
-        assert rational_local_min(sc) == ([F(1), F(2)], F(-18))
-
-    def test_monotone_coordinate_rejected(self):
-        with pytest.raises(ValueError):
-            rational_local_min(cubic((1, 0, 3, 0)))
-
-    def test_irrational_radical_gives_none(self):
-        sc = cubic((1, 0, -6, 0))
-        assert rational_local_min(sc) is None
-        assert irrational_coordinate(sc) == 0
-
-    def test_all_rational_gives_no_irrational_coordinate(self):
-        assert irrational_coordinate(cubic((1, 0, -3, 0))) is None
-
-
-class TestRootBound:
-    def test_one_variable(self):
-        assert gamma_star_root_bound(cubic((1, 0, -3, 0))) == 2
-
-    def test_two_variables(self):
-        sc = cubic((1, 0, -3, 0), (1, 0, -12, 0))
-        assert gamma_star_root_bound(sc) == 2
-
-    def test_bound_is_valid(self):
-        sc = cubic((1, 0, -3, 0))
-        _, gamma = rational_local_min(sc)
-        assert abs(gamma) >= F(1, gamma_star_root_bound(sc))
-
-    def test_zero_critical_value_rejected(self):
-        with pytest.raises(ValueError, match="critical value is 0"):
-            gamma_star_root_bound(cubic((1, 0, 0, 0)))
-
-    def test_dimension_guard(self):
-        sc = cubic((1, 0, -3, 0), (1, 0, -3, 0), (1, 0, -3, 0))
-        with pytest.raises(ValueError):
-            gamma_star_root_bound(sc)
 
 
 class TestRadicalSum:
@@ -145,6 +72,31 @@ class TestRadicalSum:
         """ratcore.sign of c0 + c1 sqrt(k) in Q(sqrt k) matches the radical sum."""
         x = AlgebraicElement(2, k, (c0, c1))
         assert sign(x) == RadicalSum().add_rational(c0).add_sqrt(c1, k).sign()
+
+
+class TestCriticalValues:
+    """The fact that makes a zero minimum rational: a cubic's value at an
+    irrational critical point has a nonzero sqrt part, negative at the
+    local minimum."""
+
+    @settings(max_examples=200)
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    )
+    def test_irrational_critical_value_has_a_nonzero_sqrt_part(self, a, b, c, d):
+        p = [d, c, b, a]
+        dp = uni_derivative(p)
+        for t in _derivative_roots(p):
+            assert sign(uni_eval(dp, t)) == 0
+            if isinstance(t, Fraction):
+                continue
+            value = uni_eval(p, t)
+            assert value.coeffs[1] != 0
+            if sign(uni_eval(uni_derivative(dp), t)) > 0:
+                assert value.coeffs[1] < 0
 
 
 class TestSolver:
