@@ -21,7 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, parse_rat, precision_cap
+from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, json_text, parse_rat, precision_cap
 from .polyalg import Polynomial
 from .systems import EQ0, PolySystem, point_from_json, point_to_json, verify
 from .bounds import bound_report, delta_bound
@@ -99,7 +99,7 @@ def _delta_flag(raw) -> int:
 
 
 def _write_json(path: str, payload) -> str:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json_text(payload) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
         "timing_ms": int((time.perf_counter() - t0) * 1000),
         "exact": True,
     }
-    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write(json_text(report))
     print()
     return code
 

@@ -1,18 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial over variables x1..xn is a map from exponent tuples to nonzero
-Fractions.  Term order everywhere (printing, serialization) is graded
-lexicographic, highest first, so equal polynomials always serialize to
-identical bytes.  Univariate restrictions are dense coefficient lists in
-ascending degree order; their entries are Fractions or AlgebraicElements
-depending on the data of the ray.
+A polynomial over variables x1..xn maps monomial keys to nonzero Fractions.
+Inside, a key lists only the nonzero exponents, as sorted ((var, exp), ...)
+pairs with 0-based var and () for the constant, so evaluation, products and
+ray restriction never visit a zero exponent.  At the boundary (__init__,
+coefficient, sorted_terms and the JSON and text forms) monomials are dense
+exponent tuples of length n.  Term order everywhere (printing,
+serialization) is graded lexicographic on the dense tuples, highest first,
+so equal polynomials always serialize to identical bytes.  Univariate
+restrictions are dense coefficient lists in ascending degree order; their
+entries are Fractions or AlgebraicElements depending on the data of the ray.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, index
+from itertools import compress
+from operator import index
 from typing import Sequence
 
 from .ratcore import (
@@ -26,22 +31,40 @@ from .ratcore import (
     scalars,
 )
 
-Monomial = tuple[int, ...]
+Monomial = tuple[int, ...]  # dense exponents, one per variable
+Key = tuple[tuple[int, int], ...]  # sorted (var, exp) pairs with exp > 0
 UniPoly = list  # dense, ascending; entries all Fraction or all AlgebraicElement of one field
 
 
 def monomial(num_vars: int, *pairs: tuple[int, int]) -> Monomial:
-    """Exponent key of the product of x_i^e over the (i, e) pairs, 0-based
-    indices; repeated indices add, and no pairs gives the constant monomial."""
+    """Dense exponent tuple of the product of x_i^e over the (i, e) pairs,
+    0-based indices; repeated indices add, and no pairs gives the constant
+    monomial."""
     exps = [0] * num_vars
     for index, exp in pairs:
         exps[index] += exp
     return tuple(exps)
 
 
-def _term_key(item: tuple[Monomial, Fraction]) -> tuple:
-    exps, _ = item
-    return (sum(exps), exps)
+def _key(exps: Monomial) -> Key:
+    """The sparse key of a dense exponent tuple."""
+    return tuple(compress(enumerate(exps), exps))
+
+
+def _key_mul(a: Key, b: Key) -> Key:
+    """The key of the product of two monomials."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for i, e in b:
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _key_degree(key: Key) -> int:
+    return sum(e for _, e in key)
 
 
 class Polynomial:
@@ -50,26 +73,28 @@ class Polynomial:
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: dict | None = None):
+        """terms maps dense exponent tuples (or lists) of length num_vars to
+        rational coefficients; zero coefficients are dropped."""
         if num_vars < 0:
             raise ValueError("num_vars must be >= 0")
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Key, Fraction] = {}
         for exps, coef in (terms or {}).items():
-            key = tuple(map(index, exps))  # refuses 1.5 and "2"
-            if len(key) != num_vars:
+            exps = tuple(map(index, exps))  # refuses 1.5 and "2"
+            if len(exps) != num_vars:
                 raise ValueError("exponent tuple length does not match num_vars")
-            if key and min(key) < 0:
+            if exps and min(exps) < 0:
                 raise ValueError("negative exponent")
             c = Fraction(coef)
             if c:
-                clean[key] = c
+                clean[_key(exps)] = c
         self.num_vars = num_vars
         self.terms = clean
 
     @classmethod
     def _from_terms(cls, num_vars: int, terms: dict) -> "Polynomial":
         """Result of arithmetic on validated polynomials: the keys are already
-        exponent tuples of length num_vars and the coefficients Fractions, so
-        only the zero coefficients are dropped."""
+        sparse keys over num_vars variables and the coefficients Fractions,
+        so only the zero coefficients are dropped."""
         p = object.__new__(cls)
         p.num_vars = num_vars
         p.terms = {e: c for e, c in terms.items() if c}
@@ -90,7 +115,7 @@ class Polynomial:
         """The monomial x_{index}, 0-based."""
         if not 0 <= index < num_vars:
             raise ValueError("variable index out of range")
-        return cls(num_vars, {monomial(num_vars, (index, 1)): Fraction(1)})
+        return cls._from_terms(num_vars, {((index, 1),): Fraction(1)})
 
     @classmethod
     def variables(cls, num_vars: int) -> list["Polynomial"]:
@@ -104,16 +129,30 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(_key_degree, self.terms), default=0)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(monomial(self.num_vars), Fraction(0))
+        return self.terms.get((), Fraction(0))
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        """Coefficient of the monomial with dense exponents exps."""
+        return self.terms.get(_key(exps), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=_term_key, reverse=True)
+        """(dense exponent tuple, coefficient) pairs in graded lex order,
+        highest first."""
+        return [(tuple(exps), c) for exps, c in self._dense_terms()]
+
+    def _dense_terms(self) -> list[tuple[list[int], Fraction]]:
+        n = self.num_vars
+        rows = []
+        for key, c in self.terms.items():
+            exps = [0] * n
+            for i, e in key:
+                exps[i] = e
+            rows.append((_key_degree(key), exps, c))
+        rows.sort(reverse=True)  # the exponent lists differ, so c is never compared
+        return [(exps, c) for _, exps, c in rows]
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,7 +162,7 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.num_vars, tuple(self.sorted_terms())))
+        return hash((self.num_vars, frozenset(self.terms.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -149,10 +188,10 @@ class Polynomial:
             c = Fraction(other)
             return Polynomial._from_terms(self.num_vars, {e: c * v for e, v in self.terms.items()})
         o = self._coerce(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Key, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(map(add, e1, e2))
+                e = _key_mul(e1, e2)
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
         return Polynomial._from_terms(self.num_vars, out)
@@ -175,7 +214,7 @@ class Polynomial:
             if other.num_vars != self.num_vars:
                 raise ValueError("mixed variable counts")
             return other
-        return Polynomial._from_terms(self.num_vars, {monomial(self.num_vars): Fraction(other)})
+        return Polynomial._from_terms(self.num_vars, {(): Fraction(other)})
 
     # -- evaluation --------------------------------------------------------
 
@@ -193,32 +232,18 @@ class Polynomial:
         """Value at a point already converted by ratcore.scalars, unlifted:
         Fraction arithmetic throughout, until an algebraic coordinate enters."""
         total = Fraction(0)
-        for exps, coef in self.terms.items():
+        for key, coef in self.terms.items():
             v = coef
-            for x, e in zip(pt, exps):
-                if e:
-                    v *= x ** e
+            for i, e in key:
+                v *= pt[i] ** e
             total += v
         return total
 
-    # -- calculus and structure maps ----------------------------------------
-
-    def gradient(self) -> tuple["Polynomial", ...]:
-        grads = []
-        for i in range(self.num_vars):
-            terms: dict[Monomial, Fraction] = {}
-            for exps, coef in self.terms.items():
-                if exps[i]:
-                    ne = list(exps)
-                    ne[i] -= 1
-                    key = tuple(ne)
-                    terms[key] = terms.get(key, Fraction(0)) + coef * exps[i]
-            grads.append(Polynomial(self.num_vars, terms))
-        return tuple(grads)
+    # -- structure maps ------------------------------------------------------
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial(
-            self.num_vars, {e: c for e, c in self.terms.items() if sum(e) == d}
+        return Polynomial._from_terms(
+            self.num_vars, {e: c for e, c in self.terms.items() if _key_degree(e) == d}
         )
 
     def affine_substitute(self, A: Sequence[Sequence[RatLike]], b: Sequence[RatLike]) -> "Polynomial":
@@ -230,25 +255,18 @@ class Polynomial:
             raise ValueError("ragged substitution matrix")
         images = []
         for i in range(self.num_vars):
-            terms: dict[Monomial, Fraction] = {}
-            const = Fraction(b[i])
-            if const:
-                terms[monomial(m)] = const
+            terms: dict[Key, Fraction] = {(): Fraction(b[i])}
             for j, a in enumerate(A[i]):
-                a = Fraction(a)
-                if a:
-                    key = monomial(m, (j, 1))
-                    terms[key] = terms.get(key, Fraction(0)) + a
-            images.append(Polynomial(m, terms))
+                terms[((j, 1),)] = Fraction(a)
+            images.append(Polynomial._from_terms(m, terms))
         powers: list[dict[int, Polynomial]] = [dict() for _ in range(self.num_vars)]
         out = Polynomial.zero(m)
-        for exps, coef in self.terms.items():
+        for key, coef in self.terms.items():
             term = Polynomial.constant(m, coef)
-            for i, e in enumerate(exps):
-                if e:
-                    if e not in powers[i]:
-                        powers[i][e] = images[i] ** e
-                    term = term * powers[i][e]
+            for i, e in key:
+                if e not in powers[i]:
+                    powers[i][e] = images[i] ** e
+                term = term * powers[i][e]
             out = out + term
         return out
 
@@ -262,11 +280,11 @@ class Polynomial:
         x0, v = scalars(x0), scalars(v)
         field = field_of(x0 + v)
         out = [Fraction(0)]
-        for exps, coef in self.terms.items():
+        for key, coef in self.terms.items():
             dense = [coef]
-            for x, dr, e in zip(x0, v, exps):
+            for i, e in key:
                 for _ in range(e):
-                    dense = _dense_mul(dense, [x, dr])
+                    dense = _dense_mul(dense, [x0[i], v[i]])
             out += [Fraction(0)] * (len(dense) - len(out))
             for i, c in enumerate(dense):
                 out[i] = out[i] + c
@@ -292,7 +310,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for exps, coef in self.sorted_terms():
+        for exps, coef in self._dense_terms():
             factors = [format_rat(coef)]
             for i, e in enumerate(exps):
                 if e == 1:
@@ -306,7 +324,7 @@ class Polynomial:
         return {
             "n": self.num_vars,
             "terms": [
-                {"exps": list(e), "coef": format_rat(c)} for e, c in self.sorted_terms()
+                {"exps": exps, "coef": format_rat(c)} for exps, c in self._dense_terms()
             ],
         }
 

@@ -6,6 +6,8 @@ Algebraic numbers live in Q[t]/(t^e - k) for e in {2, 3} and a positive
 integer k that is not a perfect e-th power, with t standing for the real
 positive e-th root of k.  All arithmetic is exact; sign determination
 refines a dyadic enclosure of t until the value's interval excludes zero.
+The text forms every report uses live here too: format_rat, parse_rat and
+json_text.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, TypeVar, Union
 
 Rat = Fraction
@@ -46,6 +49,50 @@ def format_rat(q: RatLike) -> str:
     """Canonical "num/den" string, denominator always explicit."""
     q = Fraction(q)
     return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
+
+
+# Writers of the items of a list that holds only one of these types.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2) for trees of dict (str keys), list,
+    tuple, str, int, bool and None; any other type raises TypeError.
+
+    json.dumps falls back to its pure-Python encoder whenever indent is set;
+    here a list of all-str or all-int items is written by a single join."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}")
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        write = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(write, obj) if write else [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _ceil_log2(x: int) -> int:

@@ -310,7 +310,7 @@ def find_y_hat(bound: Fraction) -> tuple[Fraction, Fraction]:
         return None
 
     cap = precision_cap(DEFAULT_PRECISION_CAP)
-    return refine_dyadic(try_at, cap, f"dyadic point met h <= {bound}")
+    return refine_dyadic(try_at, cap, "dyadic point with h(y) below the bound")
 
 
 def witness_always(cnf: CnfFormula) -> list[Fraction]:

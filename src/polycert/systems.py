@@ -25,6 +25,7 @@ from .ratcore import (
     Scalar,
     field_of,
     format_rat,
+    json_text,
     lift,
     parse_rat,
     scalars,
@@ -160,7 +161,7 @@ class PolySystem:
         return cls(index(data["n"]), constraints, data["var_names"], objective)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return json_text(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "PolySystem":

@@ -15,7 +15,7 @@ from polycert.bounds import (
     lipschitz_constant,
     phi_bound,
 )
-from polycert.polyalg import Polynomial, uni_eval
+from polycert.polyalg import Polynomial
 
 
 class TestLipschitz:

@@ -7,7 +7,7 @@ import pytest
 
 from polycert.polyalg import Polynomial
 from polycert.ratcore import AlgebraicElement, encoding_size_vec
-from polycert.systems import EQ0, LE0, PolySystem, relax, verify
+from polycert.systems import LE0, PolySystem
 from polycert.certify import (
     Certificate,
     check_certificate,

@@ -345,6 +345,18 @@ class TestReduce:
         assert code == 0
         assert report["outputs"]["witness_verdict"]["feasible"] is True
 
+    def test_always_witness_past_the_int_digit_limit(self, capsys, tmp_path):
+        # at 14 variables s = 2^-(2^14) has more digits than str() of an int
+        # allows, so no message along the way may format it
+        cnf = tmp_path / "f14.cnf"
+        cnf.write_text("p cnf 14 2\n1 -2 3 0\n-4 5 14 0\n")
+        code, report, err = run(
+            capsys,
+            ["reduce", "--cnf", str(cnf), "--variant", "quad", "--witness", "always"],
+        )
+        assert code == 0, err
+        assert report["outputs"]["witness_verdict"]["feasible"] is True
+
     def test_cubic_variant_always_witness_is_algebraic(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text(TWO_CLAUSE)
@@ -556,7 +568,7 @@ class TestSeparable:
         assert out["size_bits"] == 34
         assert err == ""
 
-    def test_empty_polytope_exits_one_with_hyphen_status(self, capsys, tmp_path):
+    def test_empty_polytope_exits_one_with_infeasible_status(self, capsys, tmp_path):
         cubic = self.cubic_json(tmp_path, [(1, 0, -2, 0)])
         box = self.box_json(tmp_path, [(F(3), F(1))])
         code, report, err = run(

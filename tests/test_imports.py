@@ -1,7 +1,7 @@
-"""Every name a polycert module imports is used in that module.
+"""Every name a polycert module or test module imports is used in that module.
 
-A stdlib stand-in for a linter's unused-import rule.  `__init__.py` is left
-out: its imports are the package's re-exports.
+A stdlib stand-in for a linter's unused-import rule.  The package's
+`__init__.py` is left out: its imports are the package's re-exports.
 """
 
 import ast
@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polycert"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "polycert"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:

@@ -1,5 +1,6 @@
 """Exact rational and algebraic scalar layer."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from polycert.ratcore import (
     format_int,
     format_rat,
     integer_nth_root,
+    json_text,
     lift,
     parse_rat,
     precision_cap,
@@ -55,6 +57,42 @@ class TestRationalCodec:
         """str() refuses integers of more than 4300 digits by default."""
         assert format_int(10 ** 5000) == "1" + "0" * 5000
         assert format_rat(Fraction(-1, 10 ** 5000)) == "-1/1" + "0" * 5000
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10 ** 400), max_value=10 ** 400)
+    | st.text()  # non-ASCII, quotes, backslashes and control characters
+    | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é€😀", ""])
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: (
+        st.lists(kids)
+        | st.lists(kids).map(tuple)
+        | st.lists(st.integers() | st.booleans())
+        | st.lists(st.text())
+        | st.dictionaries(st.text(), kids)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    @given(json_trees)
+    def test_equals_indented_json_dumps(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [True, 1, False, 0], [1, True]])
+    def test_empty_containers_and_mixed_int_bool_lists(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [1.5, [1.5], {"a": {1, 2}}, {1: "int key"}, [object()]])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json_text(obj)
 
 
 class TestEncodingSize:

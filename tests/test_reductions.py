@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from polycert.ratcore import AlgebraicElement, PRECISION_CAP_ENV, PrecisionCapError, encoding_size, encoding_size_vec
-from polycert.systems import EQ0, LE0, verify, verify_alg
+from polycert.systems import EQ0, verify, verify_alg
 from polycert.reductions import (
     VARIANTS,
     CnfFormula,
