@@ -20,8 +20,9 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
-from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, json_text, parse_rat, precision_cap
+from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, json_chunks, json_text, parse_rat, precision_cap
 from .polyalg import Polynomial
 from .systems import EQ0, PolySystem, point_from_json, point_to_json, verify
 from .bounds import bound_report, delta_bound
@@ -54,6 +55,7 @@ def _load(inputs: dict, key: str, path: str, parse, what: str):
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from e
     inputs[key] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    del data  # the parse holds about twice the file size; not the bytes too
     try:
         return parse(text)
     except json.JSONDecodeError as e:
@@ -98,14 +100,35 @@ def _delta_flag(raw) -> int:
     return delta
 
 
+# Chunks are encoded, hashed and written in batches of at least this many
+# characters, not one by one: a system file has a chunk per row.
+_WRITE_BATCH = 1 << 16
+
+
+def _batches(chunks, least: int):
+    """The chunks joined into runs of at least `least` characters, encoded."""
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= least:
+            yield "".join(batch).encode()
+            batch, size = [], 0
+    yield "".join(batch).encode()
+
+
 def _write_json(path: str, payload) -> str:
-    text = json_text(payload) + "\n"
+    """Write json_text(payload) and a newline to path without holding the
+    whole text, and return the sha256 of the bytes written."""
+    digest = hashlib.sha256()
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            for data in _batches(chain(json_chunks(payload), ("\n",)), _WRITE_BATCH):
+                digest.update(data)
+                fh.write(data)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e}") from e
-    return hashlib.sha256(text.encode()).hexdigest()
+    return digest.hexdigest()
 
 
 def _emit(outputs: dict, key: str, payload, path: str | None) -> None:

@@ -6,8 +6,8 @@ Algebraic numbers live in Q[t]/(t^e - k) for e in {2, 3} and a positive
 integer k that is not a perfect e-th power, with t standing for the real
 positive e-th root of k.  All arithmetic is exact; sign determination
 refines a dyadic enclosure of t until the value's interval excludes zero.
-The text forms every report uses live here too: format_rat, parse_rat and
-json_text.
+The text forms every report uses live here too: format_rat, parse_rat,
+json_text and json_chunks.
 """
 
 from __future__ import annotations
@@ -15,22 +15,52 @@ from __future__ import annotations
 import decimal
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
+# The largest integer parse_rat reads, in bits, and the most significant
+# digits an integer below 2^MAX_PARSED_BITS can have (78914).
+MAX_PARSED_BITS = 1 << 18
+_MAX_PARSED_DIGITS = math.floor(MAX_PARSED_BITS * math.log10(2)) + 1
+_INT_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse "num/den", "num", or a decimal literal into an exact Fraction."""
+    """Parse "num/den", "num", or a decimal literal into an exact Fraction.
+
+    Fraction(str) refuses integers past the interpreter's int-to-str digit
+    limit; a "num/den" or "num" literal past it is converted exactly through
+    decimal.Decimal, up to MAX_PARSED_BITS bits per integer.  The digits are
+    counted before converting, because the conversion is quadratic in them.
+    """
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ValueError:
+        m = _INT_RATIONAL.fullmatch(s)
+        if m is None:
+            raise
+    num, den = (_parse_big_int(g) for g in m.groups("1"))
+    return Fraction(num, den)
+
+
+def _parse_big_int(digits: str) -> int:
+    if len(digits.lstrip("+-0")) <= _MAX_PARSED_DIGITS:
+        value = int(decimal.Decimal(digits))
+        if value.bit_length() <= MAX_PARSED_BITS:
+            return value
+    raise ValueError(f"integer literal exceeds {MAX_PARSED_BITS} bits")
 
 
 def format_int(x: int) -> str:
@@ -62,6 +92,38 @@ def json_text(obj) -> str:
     json.dumps falls back to its pure-Python encoder whenever indent is set;
     here a list of all-str or all-int items is written by a single join."""
     return _json_text(obj, "\n")
+
+
+def json_chunks(obj) -> Iterator[str]:
+    """json_text(obj) in pieces, so that a large file is written without its
+    whole text in memory: the outer two container levels are walked item by
+    item, and each value below them (one row of a system file, one landmark)
+    is written whole by _json_text."""
+    return _json_chunks(obj, "\n", 2)
+
+
+def _json_chunks(obj, nl: str, levels: int) -> Iterator[str]:
+    if not (levels and obj and isinstance(obj, (dict, list, tuple))):
+        yield _json_text(obj, nl)
+        return
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        heads = [f"{encode_basestring_ascii(key)}: " for key in obj]
+        brackets, values = "{}", obj.values()
+    else:
+        brackets, heads, values = "[]", repeat(""), obj
+    sep = brackets[0] + inner
+    for head, value in zip(heads, values):
+        if levels == 1:  # the same text as recursing, in one chunk per item
+            yield sep + head + _json_text(value, inner)
+        else:
+            yield sep + head
+            yield from _json_chunks(value, inner, levels - 1)
+        sep = "," + inner
+    yield nl + brackets[1]
 
 
 def _json_text(obj, nl: str) -> str:

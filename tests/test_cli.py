@@ -7,7 +7,11 @@ report on stdout, the diagnostics on stderr, and the exit code.
 import decimal
 import hashlib
 import json
+import random
+import time
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from polycert import cli
 from polycert.bounds import delta_bound
 from polycert.cli import main
 from polycert.polyalg import Polynomial
+from polycert.reductions import CnfFormula, build_np_hard_system
 from polycert.systems import LE0, PolySystem, point_from_json, point_to_json
 from polycert.ratcore import AlgebraicElement
 
@@ -347,15 +352,22 @@ class TestReduce:
 
     def test_always_witness_past_the_int_digit_limit(self, capsys, tmp_path):
         # at 14 variables s = 2^-(2^14) has more digits than str() of an int
-        # allows, so no message along the way may format it
+        # allows, so no message along the way may format it, and verify must
+        # read it back
         cnf = tmp_path / "f14.cnf"
         cnf.write_text("p cnf 14 2\n1 -2 3 0\n-4 5 14 0\n")
+        sys_path = tmp_path / "sys.json"
         code, report, err = run(
             capsys,
-            ["reduce", "--cnf", str(cnf), "--variant", "quad", "--witness", "always"],
+            ["reduce", "--cnf", str(cnf), "--variant", "quad", "--witness", "always",
+             "--out", str(sys_path)],
         )
         assert code == 0, err
         assert report["outputs"]["witness_verdict"]["feasible"] is True
+        pt = write_json(tmp_path / "w.json", report["outputs"]["witness"])
+        code, report, err = run(capsys, ["verify", "--system", str(sys_path), "--point", pt])
+        assert code == 0, err
+        assert report["outputs"]["verdict"]["feasible"] is True
 
     def test_cubic_variant_always_witness_is_algebraic(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"
@@ -828,6 +840,35 @@ class TestFlagsAndFiles:
         assert code == 0
         assert report["inputs"]["cnf"]["sha256"] == hashlib.sha256(cnf.read_bytes()).hexdigest()
 
+    def test_integer_past_the_parse_cap_is_refused_quickly(self, capsys, tmp_path):
+        # converting a million digits would take about half a minute
+        path = unit_box_with_disc(tmp_path)
+        pt = write_json(tmp_path / "pt.json", {"values": ["1/" + "1" * 10 ** 6, "0"]})
+        started = time.perf_counter()
+        code, report, err = run(capsys, ["verify", "--system", path, "--point", pt])
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert report is None
+        assert "bits" in err
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["reduce", "--cnf", "{cnf}", "--variant", "cubic", "--out", "{a}"], ["system"]),
+            (["gadget", "--name", "tiny", "--out", "{a}", "--landmarks", "{b}"], ["system", "landmarks"]),
+        ],
+    )
+    def test_reported_digests_are_those_of_the_written_bytes(self, capsys, tmp_path, argv, outputs):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(TWO_CLAUSE)
+        files = {"cnf": cnf, "a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+        code, report, _ = run(capsys, [a.format(**files) for a in argv])
+        assert code == 0
+        for key in outputs:
+            written = Path(report["outputs"][f"{key}_path"]).read_bytes()
+            assert written.endswith(b"\n")
+            assert report["outputs"][f"{key}_sha256"] == hashlib.sha256(written).hexdigest()
+
     @pytest.mark.parametrize("cmd", ["verify", "check", "certify", "separable", "ray", "reduce"])
     def test_each_input_file_is_opened_once(self, capsys, tmp_path, monkeypatch, cmd):
         box_rows = []
@@ -891,3 +932,48 @@ class TestAlgebraicPoints:
         code, report, _ = run(capsys, ["certify", "--system", path, "--point", pt, "--delta", "10"])
         assert code == 1
         assert "rational" in report["outputs"]["error"]
+
+
+class TestFileMemory:
+    """Writing a system file holds a fraction of its text, reading about two
+    copies; measured on a planted 3-CNF of 32 variables (a 1.5 MB quad file)."""
+
+    @pytest.fixture(scope="class")
+    def quad_system(self):
+        rng = random.Random(32)
+        n = 32
+        plant = [rng.random() < 0.5 for _ in range(n)]
+        clauses = []
+        for _ in range(2 * n):
+            vs = rng.sample(range(1, n + 1), 3)
+            lits = [v if rng.random() < 0.5 else -v for v in vs]
+            lits[0] = vs[0] if plant[vs[0] - 1] else -vs[0]  # true under the plant
+            clauses.append(tuple(lits))
+        return build_np_hard_system(CnfFormula(n, tuple(clauses)), quadratize=True)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peak_is_under_half_the_file(self, quad_system, tmp_path):
+        payload = quad_system.to_json()
+        path = tmp_path / "quad.json"
+        peak = self.traced_peak(lambda: cli._write_json(str(path), payload))
+        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_load_peak_is_at_most_2_2_times_the_file(self, quad_system, tmp_path):
+        path = tmp_path / "quad.json"
+        path.write_text(quad_system.dumps() + "\n")
+        loaded = []
+        parse = cli._json(PolySystem.from_json)
+        peak = self.traced_peak(
+            lambda: loaded.append(cli._load({}, "system", str(path), parse, "system"))
+        )
+        assert loaded[0].to_json() == quad_system.to_json()
+        assert peak <= 2.2 * path.stat().st_size

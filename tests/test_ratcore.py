@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycert.ratcore import (
+    MAX_PARSED_BITS,
     AlgebraicElement,
     PRECISION_CAP_ENV,
     PrecisionCapError,
@@ -18,6 +19,7 @@ from polycert.ratcore import (
     format_int,
     format_rat,
     integer_nth_root,
+    json_chunks,
     json_text,
     lift,
     parse_rat,
@@ -57,6 +59,19 @@ class TestRationalCodec:
         """str() refuses integers of more than 4300 digits by default."""
         assert format_int(10 ** 5000) == "1" + "0" * 5000
         assert format_rat(Fraction(-1, 10 ** 5000)) == "-1/1" + "0" * 5000
+        assert parse_rat("-1/1" + "0" * 5000) == Fraction(-1, 10 ** 5000)
+
+    def test_parse_caps_integers_at_max_parsed_bits(self):
+        largest = 2 ** MAX_PARSED_BITS - 1
+        assert parse_rat(f"3/{format_int(largest)}") == Fraction(3, largest)
+        with pytest.raises(ValueError, match="bits"):
+            parse_rat(format_int(largest + 1))
+        with pytest.raises(ValueError, match="bits"):
+            parse_rat("1/" + "1" * 10 ** 6)
+
+    def test_only_integer_literals_take_the_long_path(self):
+        with pytest.raises(ValueError, match="limit"):
+            parse_rat("1." + "0" * 5000)
 
 
 json_leaves = (
@@ -81,18 +96,24 @@ json_trees = st.recursive(
 
 
 class TestJsonText:
+    """json_text, and json_chunks joined, equal json.dumps(obj, indent=2)."""
+
     @given(json_trees)
     def test_equals_indented_json_dumps(self, obj):
-        assert json_text(obj) == json.dumps(obj, indent=2)
+        assert json_text(obj) == "".join(json_chunks(obj)) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [True, 1, False, 0], [1, True]])
     def test_empty_containers_and_mixed_int_bool_lists(self, obj):
-        assert json_text(obj) == json.dumps(obj, indent=2)
+        assert json_text(obj) == "".join(json_chunks(obj)) == json.dumps(obj, indent=2)
 
-    @pytest.mark.parametrize("obj", [1.5, [1.5], {"a": {1, 2}}, {1: "int key"}, [object()]])
+    @pytest.mark.parametrize(
+        "obj", [1.5, [1.5], {"a": {1, 2}}, {1: "int key"}, [object()], [{"a": {2: "int key"}}]]
+    )
     def test_other_types_raise_type_error(self, obj):
         with pytest.raises(TypeError):
             json_text(obj)
+        with pytest.raises(TypeError):
+            "".join(json_chunks(obj))
 
 
 class TestEncodingSize:
