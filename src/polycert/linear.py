@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .polyalg import Polynomial, monomial
+from .polyalg import monomial
 from .systems import EQ0, PolySystem
 
 Row = tuple[tuple[Fraction, ...], Fraction]
@@ -35,13 +35,6 @@ def linear_rows(sys_: PolySystem, tags: tuple[str, ...] = ("linear",)) -> list[R
         if c.rel == EQ0:
             rows.append((tuple(-x for x in a), -b))
     return rows
-
-
-def row_polynomial(n: int, a: Sequence[Fraction], b: Fraction) -> Polynomial:
-    """The constraint polynomial a.x - b for a row a.x <= b."""
-    terms = {monomial(n, (i, 1)): Fraction(ai) for i, ai in enumerate(a) if ai}
-    terms[monomial(n)] = -Fraction(b)
-    return Polynomial(n, terms)
 
 
 def solve_square(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
@@ -168,10 +161,6 @@ def _orthogonalize(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
         if any(v):
             out.append(v)
     return out
-
-
-def is_bounded(rows: Sequence[Row], n: int) -> bool:
-    return recession_ray(rows, n) is None
 
 
 def project_to_nullspace(v: Sequence[Fraction], normals: Sequence[Sequence[Fraction]]) -> list[Fraction]:

@@ -51,6 +51,17 @@ def _key(exps: Monomial) -> Key:
     return tuple(compress(enumerate(exps), exps))
 
 
+def _checked_key(exps: Sequence[int], num_vars: int) -> Key:
+    """The sparse key of dense exponents read from a caller or a file,
+    refusing a non-integer (1.5 or "2"), negative or miscounted exponent."""
+    exps = tuple(map(index, exps))
+    if len(exps) != num_vars:
+        raise ValueError("exponent tuple length does not match num_vars")
+    if exps and min(exps) < 0:
+        raise ValueError("negative exponent")
+    return _key(exps)
+
+
 def _key_mul(a: Key, b: Key) -> Key:
     """The key of the product of two monomials."""
     if not a:
@@ -79,14 +90,10 @@ class Polynomial:
             raise ValueError("num_vars must be >= 0")
         clean: dict[Key, Fraction] = {}
         for exps, coef in (terms or {}).items():
-            exps = tuple(map(index, exps))  # refuses 1.5 and "2"
-            if len(exps) != num_vars:
-                raise ValueError("exponent tuple length does not match num_vars")
-            if exps and min(exps) < 0:
-                raise ValueError("negative exponent")
+            key = _checked_key(exps, num_vars)
             c = Fraction(coef)
             if c:
-                clean[_key(exps)] = c
+                clean[key] = c
         self.num_vars = num_vars
         self.terms = clean
 
@@ -330,12 +337,17 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polynomial":
-        """The exponent lists go to __init__ as they are, which validates them."""
-        rows = data["terms"]
-        terms = {tuple(t["exps"]): parse_rat(t["coef"]) for t in rows}
-        if len(terms) != len(rows):
-            raise ValueError("duplicate monomial in polynomial JSON")
-        return cls(index(data["n"]), terms)
+        """Each exponent list is validated and keyed once, as in __init__."""
+        n = index(data["n"])
+        if n < 0:
+            raise ValueError("num_vars must be >= 0")
+        terms: dict[Key, Fraction] = {}
+        for t in data["terms"]:
+            key = _checked_key(t["exps"], n)
+            if key in terms:
+                raise ValueError("duplicate monomial in polynomial JSON")
+            terms[key] = parse_rat(t["coef"])
+        return cls._from_terms(n, terms)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"

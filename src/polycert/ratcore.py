@@ -38,9 +38,8 @@ def parse_rat(text: str) -> Fraction:
     """Parse "num/den", "num", or a decimal literal into an exact Fraction.
 
     Fraction(str) refuses integers past the interpreter's int-to-str digit
-    limit; a "num/den" or "num" literal past it is converted exactly through
-    decimal.Decimal, up to MAX_PARSED_BITS bits per integer.  The digits are
-    counted before converting, because the conversion is quadratic in them.
+    limit; a "num/den" or "num" literal past it is converted exactly by
+    _parse_big_int, up to MAX_PARSED_BITS bits per integer.
     """
     s = text.strip()
     if not s:
@@ -56,23 +55,62 @@ def parse_rat(text: str) -> Fraction:
 
 
 def _parse_big_int(digits: str) -> int:
-    if len(digits.lstrip("+-0")) <= _MAX_PARSED_DIGITS:
-        value = int(decimal.Decimal(digits))
+    """A signed decimal literal as an int, refused by its digit count before
+    converting when it could exceed MAX_PARSED_BITS bits."""
+    body = digits.lstrip("+-0")
+    if len(body) <= _MAX_PARSED_DIGITS:
+        value = _digits_value(body) if body else 0
         if value.bit_length() <= MAX_PARSED_BITS:
-            return value
+            return -value if digits.startswith("-") else value
     raise ValueError(f"integer literal exceeds {MAX_PARSED_BITS} bits")
+
+
+def _digits_value(digits: str) -> int:
+    """int(digits) for a string of decimal digits of any length: the halves
+    are converted apart and joined by one multiplication, so the time is
+    that of int multiplication, not quadratic in the digits."""
+    if len(digits) <= 512:  # under every int-to-str digit limit (at least 640)
+        return int(digits)
+    low = len(digits) >> 1
+    return _digits_value(digits[:-low]) * _pow10(low) + _digits_value(digits[-low:])
+
+
+@lru_cache(maxsize=128)
+def _pow10(n: int) -> int:
+    return 10 ** n
+
+
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
 
 
 def format_int(x: int) -> str:
     """Exact decimal string of an integer of any size.
 
-    str() refuses integers past the interpreter's int-to-str digit limit;
-    decimal.Decimal converts them exactly and is not subject to it.
+    str() refuses integers past the interpreter's int-to-str digit limit.
+    Past it, the bits are split in halves, each half becomes a Decimal, and
+    the halves are joined by exact decimal multiplication and addition, which
+    is subquadratic; Decimal's str() is not subject to the limit.
     """
     try:
         return str(x)
     except ValueError:
-        return str(decimal.Decimal(x))
+        with decimal.localcontext(_EXACT):
+            text = str(_decimal_value(abs(x), abs(x).bit_length()))
+        return "-" + text if x < 0 else text
+
+
+def _decimal_value(x: int, bits: int) -> decimal.Decimal:
+    """Decimal(x) for 0 <= x < 2^bits, exact in the _EXACT context."""
+    if bits <= 1024:
+        return decimal.Decimal(x)
+    low = bits >> 1
+    high = _decimal_value(x >> low, bits - low)
+    return high * _decimal_pow2(low) + _decimal_value(x & ((1 << low) - 1), low)
+
+
+@lru_cache(maxsize=128)
+def _decimal_pow2(n: int) -> decimal.Decimal:
+    return _EXACT.power(2, n)
 
 
 def format_rat(q: RatLike) -> str:

@@ -1,9 +1,14 @@
 """Rational feasibility for linear constraints plus one separable cubic.
 
 The solver handles n in {1, 2}: it enumerates the faces of the (bounded)
-polytope, pins the exact sign of the cubic's minimum on each face using
-radical arithmetic, and either returns a rational feasible point or
-certifies infeasibility.  No floating point anywhere.
+polytope, pins the exact sign of the cubic's minimum on each face, and
+either returns a rational feasible point or certifies infeasibility.  No
+floating point anywhere.
+
+An irrational critical point lies in Q(sqrt k) for k the numerator times the
+denominator of a discriminant.  k is never factored, so the time is
+polynomial in the coefficients' bits; _sum_sign decides a sum over two such
+fields with AlgebraicElement arithmetic.
 
 A minimum of exactly 0 is always attained at a rational point.  At a
 critical point y = +-sqrt(q) of a depressed cubic a y^3 + C y + D the value
@@ -14,13 +19,13 @@ negative in every coordinate, so the parts of two coordinates cannot cancel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
 from .ratcore import (
     AlgebraicElement,
-    Rat,
     dyadic_floor,
     encoding_size_vec,
     format_rat,
@@ -28,8 +33,6 @@ from .ratcore import (
     precision_cap,
     refine_dyadic,
     sign,
-    squarefree_split,
-    theta_enclosure,
 )
 from .polyalg import Polynomial, uni_derivative, uni_eval
 from .systems import PolySystem
@@ -94,81 +97,28 @@ def _coefficient(v) -> Fraction:
     raise TypeError(f"coefficient {v!r} must be a \"num/den\" string or an integer")
 
 
-# -- exact sign of r0 + sum_i c_i sqrt(w_i) -----------------------------------
-
-
-class RadicalSum:
-    """Sum of a rational and rational multiples of square roots.
-
-    Radicals are normalized to distinct squarefree integer cores, so the sum
-    is zero exactly when every stored coefficient is zero, and any nonzero
-    sum's sign is decided by interval refinement that must terminate.
-    """
-
-    __slots__ = ("rational", "parts")
-
-    def __init__(self) -> None:
-        self.rational = Fraction(0)
-        self.parts: dict[int, Fraction] = {}
-
-    def add_rational(self, q: Rat) -> "RadicalSum":
-        self.rational += Fraction(q)
-        return self
-
-    def add_sqrt(self, coef: Rat, w: Rat) -> "RadicalSum":
-        """Adds coef * sqrt(w), w >= 0."""
-        coef = Fraction(coef)
-        w = Fraction(w)
-        if w < 0:
-            raise ValueError("radicand must be nonnegative")
-        if coef == 0 or w == 0:
-            return self
-        outer, core = squarefree_split(w.numerator * w.denominator)
-        scale = Fraction(outer, w.denominator)
-        if core == 1:
-            self.rational += coef * scale
-        else:
-            cur = self.parts.get(core, Fraction(0)) + coef * scale
-            if cur:
-                self.parts[core] = cur
-            else:
-                self.parts.pop(core, None)
-        return self
-
-    def is_rational(self) -> bool:
-        return not self.parts
-
-    def sign(self) -> int:
-        if not self.parts:
-            return sign(self.rational)
-        bits = 32
-        while True:
-            lo = hi = self.rational
-            for core, coef in self.parts.items():
-                r_lo, r_hi = theta_enclosure(2, core, bits)
-                if coef >= 0:
-                    lo += coef * r_lo
-                    hi += coef * r_hi
-                else:
-                    lo += coef * r_hi
-                    hi += coef * r_lo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-
-
-def _radical_sign(terms) -> int:
-    """Exact sign of a sum of Fractions and elements of Q(sqrt k), where
-    different terms may lie in different fields."""
-    total = RadicalSum()
+def _sum_sign(terms) -> int:
+    """Exact sign of a sum of Fractions and elements of Q(sqrt k) from at most
+    two fields.  With two, the sum is u + d sqrt(q) for u in Q(sqrt p); when
+    u and d sqrt(q) differ in sign, the sign of u^2 - d^2 q in Q(sqrt p) says
+    which is larger, whether or not p and q are squarefree."""
+    rational = Fraction(0)
+    fields: dict[int, AlgebraicElement] = {}
     for x in terms:
         if isinstance(x, AlgebraicElement):
-            total.add_rational(x.coeffs[0]).add_sqrt(x.coeffs[1], x.k)
+            fields[x.k] = fields[x.k] + x if x.k in fields else x
         else:
-            total.add_rational(x)
-    return total.sign()
+            rational += x
+    if len(fields) > 2:
+        raise ValueError("more than two square-root fields in one sum")
+    if len(fields) < 2:
+        return sign(sum(fields.values(), rational))
+    u, w = fields.values()
+    u, d, q = u + rational + w.coeffs[0], w.coeffs[1], w.k
+    su, sd = u.sign(), sign(d)
+    if su * sd >= 0:
+        return su or sd
+    return su * (u * u - d * d * q).sign()
 
 
 @dataclass(frozen=True)
@@ -222,7 +172,8 @@ def _edges_of(rows, verts: list[tuple[Fraction, ...]]):
 
 def _derivative_roots(p: list[Fraction]) -> list:
     """Real roots of p', exact and ascending: a root is a Fraction, or an
-    element of Q(sqrt core) when the discriminant is not a rational square."""
+    element of Q(sqrt k) when the discriminant num/den is not a rational
+    square, with sqrt(num/den) written as sqrt(k)/den for k = num * den."""
     dp = uni_derivative(p)
     while dp and dp[-1] == 0:
         dp.pop()
@@ -234,11 +185,12 @@ def _derivative_roots(p: list[Fraction]) -> list:
         base = -c1 / (2 * c2)
         if disc == 0:
             return [base]
-        outer, core = squarefree_split(disc.numerator * disc.denominator)
-        spread = abs(Fraction(outer, disc.denominator) / (2 * c2))
-        if core == 1:
-            return [base - spread, base + spread]
-        return [AlgebraicElement(2, core, (base, -spread)), AlgebraicElement(2, core, (base, spread))]
+        k = disc.numerator * disc.denominator
+        root = math.isqrt(k)
+        scale = 1 / abs(disc.denominator * 2 * c2)
+        if root * root == k:
+            return [base - root * scale, base + root * scale]
+        return [AlgebraicElement(2, k, (base, -scale)), AlgebraicElement(2, k, (base, scale))]
     if len(dp) == 2:
         return [-dp[0] / dp[1]]
     return []
@@ -303,9 +255,9 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
         if not roots:
             return SolveResult("infeasible")
         coords.append(roots[-1] if a > 0 else roots[0])
-    if any(_radical_sign([-b] + [aj * xj for aj, xj in zip(arow, coords)]) > 0 for arow, b in rows):
+    if any(_sum_sign([-b] + [aj * xj for aj, xj in zip(arow, coords)]) > 0 for arow, b in rows):
         return SolveResult("infeasible")
-    vsign = _radical_sign([uni_eval(sc.univariate(i), x) for i, x in enumerate(coords)])
+    vsign = _sum_sign([uni_eval(sc.univariate(i), x) for i, x in enumerate(coords)])
     if vsign < 0:
 
         def try_at(k: int) -> SolveResult | None:

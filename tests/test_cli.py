@@ -1,13 +1,18 @@
 """End-to-end tests for the command line interface.
 
-Every test drives ``main(argv)`` directly and inspects the JSON run
-report on stdout, the diagnostics on stderr, and the exit code.
+Every test drives ``main(argv)`` and inspects the JSON run report on
+stdout, the diagnostics on stderr, and the exit code.  Most call it
+directly; a test that bounds a run's time calls it in a subprocess.
 """
 
 import decimal
 import hashlib
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -599,6 +604,24 @@ class TestSeparable:
         )
         assert code == 1
         assert "unbounded" in report["outputs"]["error"]
+
+    def test_prime_coefficient_answers_in_polynomial_time(self, tmp_path):
+        """x^3 - P x + c with the 33-digit prime P = 2^107 - 1: the critical
+        point sqrt(P/3) is found without factoring the discriminant."""
+        P = 2 ** 107 - 1
+        m = math.isqrt(P // 3)
+        c = -(m ** 3 - P * m) - 1
+        cubic = self.cubic_json(tmp_path, [(1, 0, -P, c)])
+        box = self.box_json(tmp_path, [(F(m - 1), F(m + 2))])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from polycert.cli import main; sys.exit(main(sys.argv[1:]))",
+             "separable", "--system", box, "--cubic", cubic],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["outputs"]["status"] == "point"
 
     def test_bad_cubic_payload_is_usage_error(self, capsys, tmp_path):
         bad = write_json(tmp_path / "cubic.json", {"rows": []})

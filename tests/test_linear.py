@@ -8,12 +8,10 @@ from polycert.polyalg import Polynomial
 from polycert.systems import EQ0, LE0, PolySystem
 from polycert.linear import (
     enumerate_vertices,
-    is_bounded,
     linear_rows,
     project_to_nullspace,
     rank,
     recession_ray,
-    row_polynomial,
     satisfies,
     solve_square,
 )
@@ -85,7 +83,6 @@ class TestVertices:
 class TestRecession:
     def test_box_is_bounded(self):
         assert recession_ray(rows_box(2, 0, 1), 2) is None
-        assert is_bounded(rows_box(2, 0, 1), 2)
 
     def test_halfspace_has_ray(self):
         rows = [((F(-1), F(0)), F(0))]  # x1 >= 0
@@ -110,10 +107,6 @@ class TestRecession:
 
 
 class TestRowHelpers:
-    def test_row_polynomial(self):
-        p = row_polynomial(2, [F(2), F(-1)], F(3))
-        assert p == Polynomial(2, {(1, 0): F(2), (0, 1): F(-1), (0, 0): F(-3)})
-
     def test_linear_rows_splits_equalities(self):
         sys_ = PolySystem(
             1,

@@ -1,5 +1,6 @@
 """Exact rational and algebraic scalar layer."""
 
+import decimal
 import json
 from fractions import Fraction
 
@@ -68,6 +69,18 @@ class TestRationalCodec:
             parse_rat(format_int(largest + 1))
         with pytest.raises(ValueError, match="bits"):
             parse_rat("1/" + "1" * 10 ** 6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1 << 12, max_value=MAX_PARSED_BITS), st.booleans(), st.randoms())
+    def test_big_integer_round_trip(self, bits, negative, rng):
+        """format_int agrees with Decimal's exact (quadratic) conversion, and
+        parse_rat reads its text back, from 2^12 to 2^18 bits."""
+        x = rng.getrandbits(bits) | (1 << (bits - 1))
+        x = -x if negative else x
+        text = format_int(x)
+        assert text == str(decimal.Decimal(x))
+        assert parse_rat(text) == x
+        assert parse_rat(f"{text}/7") == Fraction(x, 7)
 
     def test_only_integer_literals_take_the_long_path(self):
         with pytest.raises(ValueError, match="limit"):

@@ -1,7 +1,8 @@
-"""Separable-cubic feasibility: radical signs, the solver."""
+"""Separable-cubic feasibility: radical signs, derivative roots, the solver."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from polycert.ratcore import AlgebraicElement, encoding_size_vec, sign
 from polycert.systems import LE0, PolySystem
 from polycert.linear import linear_rows, satisfies
 from polycert.separable import (
-    RadicalSum,
     SeparableCubic,
     _derivative_roots,
+    _sum_sign,
     solve_separable,
 )
 
@@ -38,29 +39,87 @@ def box(bounds) -> PolySystem:
     return PolySystem(n, rows)
 
 
-class TestRadicalSum:
-    def test_normalization_cancels(self):
-        r = RadicalSum().add_sqrt(1, 8).add_sqrt(-2, 2)
-        assert r.is_rational() and r.sign() == 0
+def isqrt_oracle_sign(r, parts) -> int:
+    """Sign of r + sum c * sqrt(k) over (c, k) pairs, without field arithmetic.
 
-    def test_perfect_square_folds_into_rational(self):
-        r = RadicalSum().add_sqrt(3, 4)
-        assert r.is_rational() and r.rational == 6
+    Zero exactly when the parts cancel once each k is split into s^2 times a
+    squarefree core, because square roots of distinct squarefree integers are
+    linearly independent over Q; otherwise isqrt enclosures of each sqrt(k) at
+    doubling precision decide the sign."""
+    by_core = {1: F(r)}
+    for c, k in parts:
+        s, core = 1, 1
+        p, rest = 2, k
+        while p * p <= rest:
+            while rest % (p * p) == 0:
+                rest //= p * p
+                s *= p
+            if rest % p == 0:
+                rest //= p
+                core *= p
+            p += 1
+        core *= rest
+        by_core[core] = by_core.get(core, 0) + c * s
+    if not any(by_core.values()):
+        return 0
+    bits = 8
+    while True:
+        lo = hi = F(r)
+        for c, k in parts:
+            root = isqrt(k << (2 * bits))
+            r_lo, r_hi = F(root, 1 << bits), F(root + 1, 1 << bits)
+            lo += c * (r_lo if c > 0 else r_hi)
+            hi += c * (r_hi if c > 0 else r_lo)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+
+
+def sqrt_of(k, c=1, r=0):
+    """r + c sqrt(k) as an element of Q(sqrt k)."""
+    return AlgebraicElement(2, k, (F(r), F(c)))
+
+
+class TestRadicalSum:
+    """Signs of radical sums r + sum c_i sqrt(k_i), decided by _sum_sign."""
+
+    def test_normalization_cancels(self):
+        terms = [sqrt_of(8), sqrt_of(2, -2)]
+        assert _sum_sign(terms) == 0 == isqrt_oracle_sign(0, [(1, 8), (-2, 2)])
 
     def test_signs(self):
-        assert RadicalSum().add_rational(1).add_sqrt(1, 2).add_sqrt(-1, 5).sign() == 1
-        assert RadicalSum().add_rational(3).add_sqrt(-1, 2).add_sqrt(-1, 3).sign() == -1
-        assert RadicalSum().add_rational(F(-141, 100)).add_sqrt(1, 2).sign() == 1
-        assert RadicalSum().add_rational(F(-142, 100)).add_sqrt(1, 2).sign() == -1
+        assert _sum_sign([F(1), sqrt_of(2), sqrt_of(5, -1)]) == 1
+        assert _sum_sign([F(3), sqrt_of(2, -1), sqrt_of(3, -1)]) == -1
+        assert _sum_sign([F(-141, 100), sqrt_of(2)]) == 1
+        assert _sum_sign([F(-142, 100), sqrt_of(2)]) == -1
 
-    def test_fractional_radicand(self):
-        # sqrt(1/2) = (1/2) sqrt(2)
-        r = RadicalSum().add_sqrt(2, F(1, 2)).add_sqrt(-1, 2)
-        assert r.sign() == 0
+    def test_rational_only(self):
+        assert _sum_sign([F(1, 3), F(-1, 3)]) == 0
+        assert _sum_sign([F(1, 3), F(-1, 2)]) == -1
+        assert _sum_sign([]) == 0
 
-    def test_negative_radicand_rejected(self):
-        with pytest.raises(ValueError):
-            RadicalSum().add_sqrt(1, -1)
+    def test_one_field(self):
+        assert _sum_sign([sqrt_of(12, 1, -3), sqrt_of(12, 1, -1), F(1)]) == 1
+        assert _sum_sign([sqrt_of(3, 2), sqrt_of(3, -2)]) == 0
+        assert _sum_sign([sqrt_of(18, -1, 4)]) == -1  # 4 - sqrt(18)
+
+    def test_two_distinct_fields(self):
+        # sqrt(2) + sqrt(3) against 3.14626...
+        assert _sum_sign([sqrt_of(2), sqrt_of(3), F(-314, 100)]) == 1
+        assert _sum_sign([sqrt_of(2), sqrt_of(3), F(-315, 100)]) == -1
+        # sqrt(50) - sqrt(48) is positive though both radicands carry squares
+        assert _sum_sign([sqrt_of(50), sqrt_of(48, -1)]) == 1
+
+    def test_equal_fields_under_different_radicands(self):
+        # 3 sqrt(8) = 6 sqrt(2) and 2 sqrt(18) = 6 sqrt(2)
+        assert _sum_sign([sqrt_of(8, 3, 1), sqrt_of(18, -2, -1)]) == 0
+        assert _sum_sign([sqrt_of(8, 3), sqrt_of(18, -2), F(1, 10 ** 30)]) == 1
+
+    def test_more_than_two_fields_refused(self):
+        with pytest.raises(ValueError, match="two"):
+            _sum_sign([sqrt_of(2), sqrt_of(3), sqrt_of(5)])
 
     @settings(max_examples=80)
     @given(
@@ -71,7 +130,47 @@ class TestRadicalSum:
     def test_agrees_with_field_sign(self, c0, c1, k):
         """ratcore.sign of c0 + c1 sqrt(k) in Q(sqrt k) matches the radical sum."""
         x = AlgebraicElement(2, k, (c0, c1))
-        assert sign(x) == RadicalSum().add_rational(c0).add_sqrt(c1, k).sign()
+        assert sign(x) == _sum_sign([x]) == _sum_sign([c0, sqrt_of(k, c1)])
+
+    @settings(max_examples=150)
+    @given(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        st.lists(
+            st.tuples(
+                st.sampled_from([-3, -2, -1, F(1, 2), 1, 2, 3]),
+                st.sampled_from([2, 3, 8, 12, 18, 27, 50, 75]),
+            ),
+            max_size=2,
+        ),
+    )
+    def test_agrees_with_isqrt_oracle(self, r, parts):
+        """Radicands with square factors, equal or distinct fields."""
+        terms = [r] + [sqrt_of(k, c) for c, k in parts]
+        assert _sum_sign(terms) == isqrt_oracle_sign(r, parts)
+
+
+class TestDerivativeRoots:
+    def test_perfect_square_discriminant_gives_fractions(self):
+        # p' = 3x^2 - 3, disc 36; p' = 3x^2 - 3/4 with disc 9, roots +-1/2
+        assert _derivative_roots([F(0), F(-3), F(0), F(1)]) == [F(-1), F(1)]
+        roots = _derivative_roots([F(0), F(-3, 4), F(0), F(1)])
+        assert roots == [F(-1, 2), F(1, 2)]
+        assert all(type(t) is F for t in roots)
+
+    def test_fractional_discriminant_gives_exact_roots(self):
+        # p' = x^2 - 1/8: disc 1/2, roots +-sqrt(1/8) = +-sqrt(2)/4
+        p = [F(0), F(-1, 8), F(0), F(1, 3)]
+        lo, hi = _derivative_roots(p)
+        assert (lo, hi) == (sqrt_of(2, F(-1, 4)), sqrt_of(2, F(1, 4)))
+        for t in (lo, hi):
+            assert (t * t - F(1, 8)).is_zero()
+            assert sign(uni_eval(uni_derivative(p), t)) == 0
+
+    def test_radicand_is_not_factored(self):
+        # p' = x^2 - 2: disc 8 is kept as the field Q(sqrt 8), roots +-sqrt(8)/2
+        lo, hi = _derivative_roots([F(0), F(-2), F(0), F(1, 3)])
+        assert (lo.k, lo.coeffs, hi.coeffs) == (8, (0, F(-1, 2)), (0, F(1, 2)))
+        assert (hi * hi - 2).is_zero() and sign(lo) == -1
 
 
 class TestCriticalValues:
