@@ -118,8 +118,9 @@ def _batches(chunks, least: int):
 
 
 def _write_json(path: str, payload) -> str:
-    """Write json_text(payload) and a newline to path without holding the
-    whole text, and return the sha256 of the bytes written."""
+    """Write json_chunks(payload), the compact JSON text, and a newline to
+    path without holding the whole text, and return the sha256 of the bytes
+    written."""
     digest = hashlib.sha256()
     try:
         with open(path, "wb") as fh:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import index
+from operator import countOf, index
 from typing import Sequence
 
 from .ratcore import (
@@ -47,19 +47,26 @@ def monomial(num_vars: int, *pairs: tuple[int, int]) -> Monomial:
 
 
 def _key(exps: Monomial) -> Key:
-    """The sparse key of a dense exponent tuple."""
-    return tuple(compress(enumerate(exps), exps))
+    """The sparse key of a dense exponent tuple; Python touches only the
+    nonzero entries."""
+    nonzero = list(compress(range(len(exps)), exps))
+    return tuple(zip(nonzero, map(exps.__getitem__, nonzero)))
 
 
 def _checked_key(exps: Sequence[int], num_vars: int) -> Key:
     """The sparse key of dense exponents read from a caller or a file,
-    refusing a non-integer (1.5 or "2"), negative or miscounted exponent."""
-    exps = tuple(map(index, exps))
+    refusing a miscounted list or an exponent that is negative or not an
+    int (1.5, "2", null, true).  Only C-level passes visit every entry."""
+    if countOf(map(type, exps), int) != len(exps):
+        bad = next(e for e in exps if type(e) is not int)
+        index(bad)  # the TypeError of 1.5, "2" or None
+        raise TypeError(f"exponent {bad!r} is not an int")
     if len(exps) != num_vars:
         raise ValueError("exponent tuple length does not match num_vars")
-    if exps and min(exps) < 0:
+    key = _key(exps)
+    if any(e < 0 for _, e in key):
         raise ValueError("negative exponent")
-    return _key(exps)
+    return key
 
 
 def _key_mul(a: Key, b: Key) -> Key:

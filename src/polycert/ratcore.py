@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, TypeVar, Union
 
@@ -119,10 +119,6 @@ def format_rat(q: RatLike) -> str:
     return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
-# Writers of the items of a list that holds only one of these types.
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
-
-
 def json_text(obj) -> str:
     """Exactly json.dumps(obj, indent=2) for trees of dict (str keys), list,
     tuple, str, int, bool and None; any other type raises TypeError.
@@ -133,38 +129,39 @@ def json_text(obj) -> str:
 
 
 def json_chunks(obj) -> Iterator[str]:
-    """json_text(obj) in pieces, so that a large file is written without its
-    whole text in memory: the outer two container levels are walked item by
-    item, and each value below them (one row of a system file, one landmark)
-    is written whole by _json_text."""
-    return _json_chunks(obj, "\n", 2)
+    """Exactly json.dumps(obj, separators=(",", ":")) in pieces, for the same
+    trees as json_text, so that a large file is written without its whole
+    text in memory: the outer two container levels are walked item by item,
+    and each value below them (one row of a system file, one landmark) is
+    written whole by _json_text."""
+    return _json_chunks(obj, 2)
 
 
-def _json_chunks(obj, nl: str, levels: int) -> Iterator[str]:
+def _json_chunks(obj, levels: int) -> Iterator[str]:
     if not (levels and obj and isinstance(obj, (dict, list, tuple))):
-        yield _json_text(obj, nl)
+        yield _json_text(obj, "")
         return
-    inner = nl + "  "
     if isinstance(obj, dict):
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-        heads = [f"{encode_basestring_ascii(key)}: " for key in obj]
+        heads = [encode_basestring_ascii(key) + ":" for key in obj]
         brackets, values = "{}", obj.values()
     else:
         brackets, heads, values = "[]", repeat(""), obj
-    sep = brackets[0] + inner
+    sep = brackets[0]
     for head, value in zip(heads, values):
         if levels == 1:  # the same text as recursing, in one chunk per item
-            yield sep + head + _json_text(value, inner)
+            yield sep + head + _json_text(value, "")
         else:
             yield sep + head
-            yield from _json_chunks(value, inner, levels - 1)
-        sep = "," + inner
-    yield nl + brackets[1]
+            yield from _json_chunks(value, levels - 1)
+        sep = ","
+    yield brackets[1]
 
 
 def _json_text(obj, nl: str) -> str:
+    """obj written at a line break plus indent nl, or compactly for nl = ""."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -175,24 +172,43 @@ def _json_text(obj, nl: str) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    inner = nl + "  "
+    inner = nl and nl + "  "
+    sep = "," + inner
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        colon = ": " if nl else ":"
         items = []
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}")
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+            items.append(encode_basestring_ascii(key) + colon + _json_text(value, inner))
+        return "{" + inner + sep.join(items) + nl + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         kinds = set(map(type, obj))
-        write = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(write, obj) if write else [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if kinds == {int}:
+            body = _int_items(obj, sep)
+        elif kinds == {str}:
+            body = sep.join(map(encode_basestring_ascii, obj))
+        else:
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return "[" + inner + body + nl + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _int_items(items, sep: str) -> str:
+    """sep.join(map(int.__repr__, items)) for a nonempty list of ints, with
+    Python-level work only per nonzero item: a run of r zeros is one
+    repetition ("0" + sep) * r."""
+    zeros = "0" + sep
+    parts, start = [], 0
+    for i in compress(range(len(items)), items):
+        parts += zeros * (i - start), int.__repr__(items[i]), sep
+        start = i + 1
+    parts.append(zeros * (len(items) - start))
+    return "".join(parts)[: -len(sep)]
 
 
 def _ceil_log2(x: int) -> int:
@@ -244,14 +260,24 @@ def theta_enclosure(e: int, k: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(l, 1 << bits), Fraction(l + 1, 1 << bits)
 
 
+# The largest integer squarefree_split splits: trial division then runs to
+# its cube root, about 2^19 odd divisors.
+SQUAREFREE_SPLIT_MAX = 1 << 60
+
+
 def squarefree_split(m: int) -> tuple[int, int]:
-    """m = outer^2 * inner with inner squarefree; returns (outer, inner)."""
+    """m = outer^2 * inner with inner squarefree; returns (outer, inner).
+
+    Trial division stops at the cube root of what is left, which then has
+    at most two prime factors, so it is a prime square or squarefree."""
     if m < 1:
         raise ValueError("need a positive integer")
+    if m > SQUAREFREE_SPLIT_MAX:
+        raise ValueError("squarefree_split needs an integer of at most 2^60")
     outer, inner = 1, 1
     p = 2
     mm = m
-    while p * p <= mm:
+    while p * p * p <= mm:
         if mm % p == 0:
             e = 0
             while mm % p == 0:
@@ -260,8 +286,10 @@ def squarefree_split(m: int) -> tuple[int, int]:
             outer *= p ** (e // 2)
             inner *= p ** (e % 2)
         p += 1 if p == 2 else 2
-    inner *= mm
-    return outer, inner
+    r = math.isqrt(mm)
+    if r * r == mm:
+        return outer * r, inner
+    return outer, inner * mm
 
 
 PRECISION_CAP_ENV = "POLYCERT_PRECISION_CAP"

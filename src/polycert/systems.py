@@ -25,7 +25,7 @@ from .ratcore import (
     Scalar,
     field_of,
     format_rat,
-    json_text,
+    json_chunks,
     lift,
     parse_rat,
     scalars,
@@ -161,7 +161,8 @@ class PolySystem:
         return cls(index(data["n"]), constraints, data["var_names"], objective)
 
     def dumps(self) -> str:
-        return json_text(self.to_json())
+        """The compact file text, json.dumps(..., separators=(",", ":"))."""
+        return "".join(json_chunks(self.to_json()))
 
     @classmethod
     def loads(cls, text: str) -> "PolySystem":

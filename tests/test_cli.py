@@ -174,6 +174,7 @@ MALFORMED = {
         "zero-denominator": {"n": 2, "terms": [{"exps": [1, 0], "coef": "1/0"}]},
         "fractional-exponent": {"n": 2, "terms": [{"exps": [1.5, 0], "coef": "1"}]},
         "string-exponent": {"n": 2, "terms": [{"exps": ["2", 0], "coef": "1"}]},
+        "boolean-exponent": {"n": 2, "terms": [{"exps": [True, False], "coef": "1"}]},
     },
     "cubic": {
         "no-coeffs": {"rows": []},
@@ -218,6 +219,19 @@ class TestMalformedInput:
         assert report is None
         assert err.startswith("error:") and "bad.json" in err
 
+    def test_boolean_exponents_are_a_usage_error(self, capsys, tmp_path):
+        """JSON integers only: x1 - 4 <= 0 with x1 written as [true, false]
+        is refused, not verified at (3, 0) with residual -1."""
+        row = {"n": 2, "terms": [{"exps": [True, False], "coef": "1"}, {"exps": [0, 0], "coef": "-4"}]}
+        system = {"version": 1, "n": 2, "var_names": ["x1", "x2"],
+                  "constraints": [{"poly": row, "rel": "LE0", "tag": "linear"}]}
+        path = write_json(tmp_path / "bool.json", system)
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(3), F(0)]))
+        code, report, err = run(capsys, ["verify", "--system", path, "--point", pt])
+        assert code == 2
+        assert report is None
+        assert "bool.json" in err and "True" in err
+
     def test_polytope_of_another_dimension_is_a_usage_error(self, capsys, tmp_path):
         poly = write_json(tmp_path / "f.json", Polynomial.variable(2, 0).to_json())
         pt = write_json(tmp_path / "pt.json", point_to_json([F(0), F(1)]))
@@ -241,6 +255,21 @@ class TestGadget:
         names = [lm["name"] for lm in out["landmarks"]]
         assert "corner" in names
         assert report["inputs"]["name"] == "socp"
+
+    def test_socp_past_the_squarefree_bound_is_refused_quickly(self):
+        """a^2 + b^2 = 2^104 + 1 is past squarefree_split's 2^60: exit 1 at
+        once, where trial division to the square root ran without bound."""
+        b, c = 2 ** 52, 2 ** 103
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from polycert.cli import main; sys.exit(main(sys.argv[1:]))",
+             "gadget", "--name", "socp", "--param", "a=1", "--param", f"b={b}",
+             "--param", f"c={c}", "--param", f"d={c + 1}"],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "2^60" in json.loads(proc.stdout)["outputs"]["error"]
 
     def test_out_files_round_trip_canonically(self, capsys, tmp_path):
         sys_path = tmp_path / "sys.json"
@@ -958,8 +987,10 @@ class TestAlgebraicPoints:
 
 
 class TestFileMemory:
-    """Writing a system file holds a fraction of its text, reading about two
-    copies; measured on a planted 3-CNF of 32 variables (a 1.5 MB quad file)."""
+    """Writing a system file holds a fraction of its text and reading it about
+    two copies of its indented text (the parsed lists, whatever the layout);
+    measured on a planted 3-CNF of 32 variables, whose quad system is 1.5 MB
+    at indent=2 and about a seventh of that as written."""
 
     @pytest.fixture(scope="class")
     def quad_system(self):
@@ -987,8 +1018,10 @@ class TestFileMemory:
         payload = quad_system.to_json()
         path = tmp_path / "quad.json"
         peak = self.traced_peak(lambda: cli._write_json(str(path), payload))
-        assert path.read_text() == json.dumps(payload, indent=2) + "\n"
-        assert peak < 0.5 * path.stat().st_size
+        assert path.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
+        indented = len(json.dumps(payload, indent=2))
+        assert peak < 0.5 * indented
+        assert path.stat().st_size <= 0.2 * indented
 
     def test_load_peak_is_at_most_2_2_times_the_file(self, quad_system, tmp_path):
         path = tmp_path / "quad.json"
@@ -999,4 +1032,4 @@ class TestFileMemory:
             lambda: loaded.append(cli._load({}, "system", str(path), parse, "system"))
         )
         assert loaded[0].to_json() == quad_system.to_json()
-        assert peak <= 2.2 * path.stat().st_size
+        assert peak <= 2.2 * len(json.dumps(quad_system.to_json(), indent=2))

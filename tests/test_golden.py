@@ -1,9 +1,12 @@
 """Golden digests of generated systems.
 
-System JSON v1 is a file format: the bytes every builder writes for a fixed
-input are pinned here, so a refactor of how polynomials are built cannot
-change an instance silently.  A digest covers `PolySystem.dumps()` and, for
-builders that return one, the objective's JSON.
+System JSON v1 is a file format: what every builder writes for a fixed input
+is pinned here, so a refactor of how polynomials are built cannot change an
+instance silently.  A digest covers the system's JSON at indent=2 and, for
+builders that return one, the objective's.  Files are written compactly
+(`PolySystem.dumps()`, json.dumps with separators (",", ":")), which holds
+the same value; the indented text, which is how files were written before,
+still loads to the same systems.
 
 The separable solver's reports over a fixed seeded family are pinned the
 same way, so a change to how it finds critical points cannot change a
@@ -29,7 +32,7 @@ CNF5 = CnfFormula(5, ((1, -2, 3), (-1, 4, 5), (2, -3, -5), (-4, 5, 1), (3, 4, -2
 
 
 def digest(system, objective=None) -> str:
-    text = system.dumps()
+    text = json.dumps(system.to_json(), indent=2)
     if objective is not None:
         text += "\n" + json.dumps(objective.to_json(), indent=2)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -66,6 +69,26 @@ def test_reduction_bytes_are_pinned(variant, n):
 def test_gadget_bytes_at_cli_defaults_are_pinned(name):
     bundle = GADGET_BUILDERS[name](**GADGET_DEFAULTS[name])
     assert digest(bundle.system) == GADGET_DIGESTS[name]
+
+
+def golden_systems():
+    """Every pinned system: the reductions of CNF3 and CNF5, then the gadgets."""
+    for variant, n in sorted(REDUCTION_DIGESTS):
+        yield VARIANTS[variant]["build"]({3: CNF3, 5: CNF5}[n])[0]
+    for name in sorted(GADGET_DIGESTS):
+        yield GADGET_BUILDERS[name](**GADGET_DEFAULTS[name]).system
+
+
+def test_files_are_written_compactly():
+    for system in golden_systems():
+        assert system.dumps() == json.dumps(system.to_json(), separators=(",", ":"))
+
+
+def test_indented_files_still_load_to_equal_systems():
+    for system in golden_systems():
+        text = json.dumps(system.to_json(), indent=2)
+        assert PolySystem.loads(text) == system
+        assert PolySystem.loads(system.dumps()) == system
 
 
 SEPARABLE_DIGEST = "84c5d9bbf52eeb1ddddc57d17b2490947cee61b13b7967700c285afc8b9a845b"

@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials and univariate helpers."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from polycert.ratcore import AlgebraicElement
 from polycert.polyalg import (
     Polynomial,
+    _checked_key,
     uni_degree,
     uni_derivative,
     uni_eval,
@@ -276,7 +278,7 @@ class TestKeyValidation:
         with pytest.raises(TypeError):
             Polynomial(2, {key: Fraction(1)})
 
-    @pytest.mark.parametrize("exps", [[1.5, 0], ["2", 0]])
+    @pytest.mark.parametrize("exps", [[1.5, 0], ["2", 0], [None, 0], [True, False], [1, False], [0.0, 1]])
     def test_json_exponents_must_be_integers(self, exps):
         with pytest.raises(TypeError):
             Polynomial.from_json({"n": 2, "terms": [{"exps": exps, "coef": "1"}]})
@@ -284,3 +286,26 @@ class TestKeyValidation:
     def test_json_n_must_be_an_integer(self):
         with pytest.raises(TypeError):
             Polynomial.from_json({"n": "2", "terms": []})
+
+    @given(
+        st.lists(
+            st.integers(min_value=-2, max_value=3)
+            | st.sampled_from([0, 0, 0, 10 ** 40, 0.0, 1.5, "2", None, True, False]),
+            max_size=8,
+        ),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_key_agrees_with_operator_index(self, exps, n):
+        """The reference: map every exponent through operator.index, refuse a
+        boolean, a miscounted list or a negative entry, and pair the nonzero
+        positions with their values."""
+        try:
+            dense = [operator.index(e) for e in exps]
+            if any(isinstance(e, bool) for e in exps) or len(dense) != n or min(dense, default=0) < 0:
+                raise ValueError
+            expected = tuple((i, e) for i, e in enumerate(dense) if e)
+        except (TypeError, ValueError):
+            with pytest.raises((TypeError, ValueError)):
+                _checked_key(exps, n)
+        else:
+            assert _checked_key(exps, n) == _checked_key(tuple(exps), n) == expected

@@ -13,6 +13,7 @@ from polycert.ratcore import (
     AlgebraicElement,
     PRECISION_CAP_ENV,
     PrecisionCapError,
+    SQUAREFREE_SPLIT_MAX,
     dyadic_floor,
     encoding_size,
     encoding_size_vec,
@@ -108,16 +109,51 @@ json_trees = st.recursive(
 )
 
 
+def compact(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 class TestJsonText:
-    """json_text, and json_chunks joined, equal json.dumps(obj, indent=2)."""
+    """json_text equals json.dumps(obj, indent=2), the report layout;
+    json_chunks joined equals the compact layout every file is written in."""
 
     @given(json_trees)
     def test_equals_indented_json_dumps(self, obj):
-        assert json_text(obj) == "".join(json_chunks(obj)) == json.dumps(obj, indent=2)
+        assert json_text(obj) == json.dumps(obj, indent=2)
+        assert "".join(json_chunks(obj)) == compact(obj)
 
     @pytest.mark.parametrize("obj", [[], {}, (), [[]], {"a": {}}, [True, 1, False, 0], [1, True]])
     def test_empty_containers_and_mixed_int_bool_lists(self, obj):
-        assert json_text(obj) == "".join(json_chunks(obj)) == json.dumps(obj, indent=2)
+        assert json_text(obj) == json.dumps(obj, indent=2)
+        assert "".join(json_chunks(obj)) == compact(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [0],
+            [0, 0, 0, 0],
+            [7],
+            [-3],
+            [0, 0, 2, 0, 1],
+            [4, 0, 0, 0],
+            [0, 0, 5, 0, -3, 0, 0],
+            [-1, -2, 0, -(10 ** 401)],
+            [10 ** 400, 0, 0, 1],
+            (0, 3, 0),
+            [0, False, 0, 1],
+            [True, 0, 0],
+            [[0, 0, 1], [2, 0, 0], [0] * 9],
+            {"exps": [0, 0, 1, 0], "coef": "1/1"},
+        ],
+    )
+    def test_int_lists_written_by_zero_runs(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2)
+        assert "".join(json_chunks(obj)) == compact(obj)
+
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 10 ** 30]), min_size=1, max_size=40))
+    def test_sparse_int_lists(self, items):
+        assert json_text(items) == json.dumps(items, indent=2)
+        assert "".join(json_chunks({"a": [items]})) == compact({"a": [items]})
 
     @pytest.mark.parametrize(
         "obj", [1.5, [1.5], {"a": {1, 2}}, {1: "int key"}, [object()], [{"a": {2: "int key"}}]]
@@ -173,6 +209,23 @@ class TestRoots:
         assert hi - lo == Fraction(1, 2 ** 40)
 
 
+def trial_division_split(m: int) -> tuple[int, int]:
+    """The former squarefree_split: trial division up to the square root."""
+    outer, inner = 1, 1
+    p = 2
+    mm = m
+    while p * p <= mm:
+        if mm % p == 0:
+            e = 0
+            while mm % p == 0:
+                mm //= p
+                e += 1
+            outer *= p ** (e // 2)
+            inner *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    return outer, inner * mm
+
+
 class TestSquarefreeSplit:
     @pytest.mark.parametrize(
         "m,outer,inner", [(1, 1, 1), (2, 1, 2), (8, 2, 2), (12, 2, 3), (72, 6, 2), (49, 7, 1)]
@@ -188,6 +241,41 @@ class TestSquarefreeSplit:
             if p * p > inner:
                 break
             assert inner % (p * p) != 0
+
+    def test_agrees_with_trial_division_to_the_square_root(self):
+        for m in range(1, 10 ** 5 + 1):
+            assert squarefree_split(m) == trial_division_split(m), m
+
+    @given(
+        st.integers(min_value=1, max_value=10 ** 4),
+        st.integers(min_value=1, max_value=10 ** 4),
+        st.integers(min_value=1, max_value=100),
+    )
+    def test_agrees_with_trial_division_on_squares_of_large_factors(self, a, b, c):
+        """a^2 * b * c: a cofactor above the cube root is often a square."""
+        m = a * a * b * c
+        assert squarefree_split(m) == trial_division_split(m)
+
+    @pytest.mark.parametrize(
+        "m, split",
+        [
+            (1000003 ** 2, (1000003, 1)),  # a prime square above the cube root
+            (1000003 * 1000033, (1, 1000003 * 1000033)),
+            (12 * 1000003 ** 2, (2 * 1000003, 3)),
+            (2 ** 60, (2 ** 30, 1)),
+            (2 ** 60 - 93, None),  # no factor below its cube root 2^20
+        ],
+    )
+    def test_large_factors_up_to_the_bound(self, m, split):
+        outer, inner = squarefree_split(m)
+        assert outer * outer * inner == m
+        if split is not None:
+            assert (outer, inner) == split
+
+    def test_refuses_past_2_to_the_60(self):
+        assert squarefree_split(SQUAREFREE_SPLIT_MAX) == (2 ** 30, 1)
+        with pytest.raises(ValueError, match="2\\^60"):
+            squarefree_split(SQUAREFREE_SPLIT_MAX + 1)
 
 
 class TestAlgebraicElement:
