@@ -1,7 +1,8 @@
 """Short feasibility certificates for relaxed polynomial systems.
 
 A certificate is a vertex of the polytope intersected with one implicit
-grid cell around a known feasible point.  The grid granularity phi is chosen
+grid cell around a known feasible point: its lexicographically least point,
+found by exact linear programs.  The grid granularity phi is chosen
 so that moving within a cell changes each nonlinear constraint by at most
 1/(ell*delta), which is exactly the slack the relaxed system grants.  The
 grid itself is never materialized; only the one cell index is computed.
@@ -17,7 +18,7 @@ from typing import Sequence
 from .ratcore import Scalar, encoding_size_vec, field_of, format_int, format_rat
 from .polyalg import Polynomial
 from .systems import LE0, PolySystem, Verdict, relax, verify
-from .linear import enumerate_vertices, linear_rows, recession_ray
+from .linear import Simplex, linear_rows, recession_ray, signed_units
 from .bounds import lipschitz_constant
 
 
@@ -86,14 +87,10 @@ def grid_certificate(
     if recession_ray(rows, n) is not None:
         raise ValueError("polytope is unbounded")
     if M is None:
-        verts = enumerate_vertices(rows, n)
-        if not verts:
+        lp = Simplex(rows, n)
+        if not lp.feasible:
             raise ValueError("polytope has no vertices")
-        M = max(
-            (abs(c) for v in verts for c in v),
-            default=Fraction(0),
-        )
-        M = max(M, Fraction(1))
+        M = max(max(lp.maximize(c).value for c in signed_units(n)), Fraction(1))
     else:
         M = Fraction(M)
         if M < 1:
@@ -111,24 +108,20 @@ def grid_certificate(
     width = Fraction(M, phi)
     box_index = []
     cell_rows = list(rows)
+    units = signed_units(n)
     for i, xi in enumerate(x_tilde):
         j = math.floor(xi * phi / M)
         j = max(-phi, min(phi - 1, j))
         box_index.append(j)
-        lo = width * j
-        hi = width * (j + 1)
-        a_lo = tuple(Fraction(-1) if t == i else Fraction(0) for t in range(n))
-        a_hi = tuple(Fraction(1) if t == i else Fraction(0) for t in range(n))
-        cell_rows.append((a_lo, -lo))
-        cell_rows.append((a_hi, hi))
-    verts = enumerate_vertices(cell_rows, n)
-    if not verts:
-        raise AssertionError("P intersected with the containing cell has no vertex")
-    x_bar = verts[0]
+        cell_rows.append((units[2 * i + 1], -width * j))
+        cell_rows.append((units[2 * i], width * (j + 1)))
+    x_bar = Simplex(cell_rows, n).lex_min()
+    if x_bar is None:
+        raise ValueError("P intersected with the containing cell has no vertex")
     relaxed = relax(exact, delta)
     vr = verify(relaxed, list(x_bar))
     if not vr.feasible:
-        raise AssertionError(
+        raise ValueError(
             f"certificate failed relaxed verification (worst {vr.worst_violation}); "
             "M or L override too small?"
         )

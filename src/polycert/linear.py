@@ -1,17 +1,19 @@
 """Exact linear algebra over Q for low-dimensional polyhedra.
 
 Polyhedra arrive as lists of rows (a, b) meaning a.x <= b.  Everything here
-is exact; vertex enumeration solves every n-subset of rows and is meant for
+is exact.  `Simplex` answers linear programs over the rows with integer
+pivots; vertex enumeration solves every n-subset of rows and is meant for
 n <= 3 at desk scale.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .polyalg import monomial
 from .systems import EQ0, PolySystem
 
 Row = tuple[tuple[Fraction, ...], Fraction]
@@ -29,7 +31,7 @@ def linear_rows(sys_: PolySystem, tags: tuple[str, ...] = ("linear",)) -> list[R
             continue
         if c.poly.degree() > 1:
             raise ValueError("non-linear row in linear extraction")
-        a = tuple(c.poly.coefficient(monomial(n, (i, 1))) for i in range(n))
+        a = tuple(c.poly.terms.get(((i, 1),), Fraction(0)) for i in range(n))
         b = -c.poly.constant_term()
         rows.append((a, b))
         if c.rel == EQ0:
@@ -55,29 +57,6 @@ def solve_square(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list
     return [M[r][n] for r in range(n)]
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    M = [list(map(Fraction, r)) for r in rows]
-    if not M:
-        return 0
-    n = len(M[0])
-    rk = 0
-    for col in range(n):
-        pivot = next((r for r in range(rk, len(M)) if M[r][col]), None)
-        if pivot is None:
-            continue
-        M[rk], M[pivot] = M[pivot], M[rk]
-        inv = 1 / M[rk][col]
-        M[rk] = [v * inv for v in M[rk]]
-        for r in range(len(M)):
-            if r != rk and M[r][col]:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[rk])]
-        rk += 1
-        if rk == len(M):
-            break
-    return rk
-
-
 def dot(a: Sequence, x: Sequence):
     """a.x, exact; entries may be rational or lie in one algebraic field."""
     return sum(ai * xi for ai, xi in zip(a, x))
@@ -101,47 +80,218 @@ def enumerate_vertices(rows: Sequence[Row], n: int) -> list[tuple[Fraction, ...]
     return sorted(seen)
 
 
-def _recession_candidates(rows: Sequence[Row], n: int):
-    normals = [a for a, _ in rows if any(a)]
-    if n == 1:
-        yield (Fraction(1),)
-        yield (Fraction(-1),)
-    elif n == 2:
-        for a in normals:
-            r = (-a[1], a[0])
-            yield r
-            yield (-r[0], -r[1])
-    else:
-        for a, b in combinations(normals, 2):
-            r = (
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            )
-            if any(r):
-                yield r
-                yield tuple(-v for v in r)
+@dataclass(frozen=True)
+class LPResult:
+    """One answer of `Simplex.maximize`: "optimal" with the optimum and a
+    vertex attaining it, "unbounded" with a ray of the feasible set along
+    which the objective grows, or "infeasible"."""
+
+    status: str
+    value: Fraction | None = None
+    point: tuple[Fraction, ...] | None = None
+    ray: tuple[Fraction, ...] | None = None
+
+
+def _integer_row(a: Sequence[Fraction], b: Fraction) -> list[int]:
+    """a and b times the least common multiple of their denominators,
+    divided by the gcd of the results: the same half-space over Z."""
+    a = [Fraction(v) for v in a]
+    b = Fraction(b)
+    scale = math.lcm(b.denominator, *(v.denominator for v in a))
+    row = [v.numerator * (scale // v.denominator) for v in a]
+    row.append(b.numerator * (scale // b.denominator))
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+class Simplex:
+    """Exact simplex over {x : a.x <= b for each row} with x free.
+
+    The tableau is kept over Z with one common denominator d > 0, the
+    determinant of the basis: row i says d * basic_i + sum_j T[i][j] *
+    nonbasic_j = T[i][-1].  A pivot replaces each entry by a 2x2 minor
+    divided exactly by the previous d (Edmonds 1967, Bareiss 1968), so no
+    Fraction and no gcd enters a pivot and every entry stays a minor of the
+    integer rows.  Variable ids are 0..n-1 for x, n..n+m-1 for the slack
+    of each row and n+m for the phase-one variable.  First each x enters
+    the basis (a ratio test keeps a feasible start feasible); then, if the
+    basic point violates a row, one added variable relaxes every violated
+    row and is driven to 0 (Chvatal's phase one).  Pivots follow Bland's
+    rule (smallest entering id, ties in the ratio test to the smallest
+    leaving id), so the method terminates on degenerate polyhedra.
+    Successive `maximize` and `lex_min` calls start from the last optimal
+    basis.
+    """
+
+    def __init__(self, rows: Sequence[Row], n: int):
+        self.n = n
+        self.d = 1
+        self.T = [_integer_row(a, b) for a, b in rows]
+        self.basis = list(range(n, n + len(self.T)))
+        self.cobasis = list(range(n))
+        for s in range(n):  # x_s enters through the row that blocks it first, either way
+            r = None
+            for i, t in enumerate(self.T):
+                if t[s] and self.basis[i] >= n and (r is None or t[-1] * abs(self.T[r][s]) < self.T[r][-1] * abs(t[s])):
+                    r = i
+            if r is not None:
+                self._pivot(r, s)
+        self.feasible = self._phase_one()
+
+    def _pivot(self, r: int, s: int, objective: list[int] | None = None) -> None:
+        T, d = self.T, self.d
+        row = T[r]
+        p = row[s]
+        rows = T if objective is None else T + [objective]
+        for i, t in enumerate(rows):
+            if t is row:
+                continue
+            f = t[s]
+            if f:
+                t[:] = [(p * u - f * v) // d for u, v in zip(t, row)]
+                t[s] = -f
+            elif p != d:
+                t[:] = [p * u // d for u in t]
+        row[s] = d
+        if p < 0:
+            for t in rows:
+                t[:] = [-u for u in t]
+        self.d = abs(p)
+        self.basis[r], self.cobasis[s] = self.cobasis[s], self.basis[r]
+
+    def _phase_one(self) -> bool:
+        n, T = self.n, self.T
+        slack = [i for i, b in enumerate(self.basis) if b >= n]
+        r = min(slack, key=lambda i: (T[i][-1], self.basis[i]), default=None)
+        if r is None or T[r][-1] >= 0:
+            return True
+        aux = n + len(T)
+        for i, t in enumerate(T):
+            t.insert(-1, -self.d if self.basis[i] >= n else 0)
+        self.cobasis.append(aux)
+        s = len(self.cobasis) - 1
+        self._pivot(r, s)
+        objective = [-u for u in T[r]]
+        self._optimize(objective)
+        if objective[-1] < 0:
+            return False
+        if aux in self.basis:  # at 0; its row has a nonzero, as aux can grow freely
+            r = self.basis.index(aux)
+            self._pivot(r, next(j for j, u in enumerate(T[r][:-1]) if u))
+        s = self.cobasis.index(aux)
+        for t in T:
+            del t[s]
+        del self.cobasis[s]
+        return True
+
+    def _objective(self, c: Sequence[Fraction]) -> list[int]:
+        """The row of c.x in the current tableau, c scaled to integers."""
+        c = _integer_row(c, 0)[:-1]
+        d = self.d
+        objective = [0] * (len(self.cobasis) + 1)
+        for i, b in enumerate(self.basis):
+            if b < self.n and c[b]:
+                objective = [u + c[b] * v for u, v in zip(objective, self.T[i])]
+        for j, b in enumerate(self.cobasis):
+            if b < self.n:
+                objective[j] -= c[b] * d
+        return objective
+
+    def _optimize(self, objective: list[int], fixed: set[int] = frozenset()) -> int | None:
+        """Pivot until objective (the row of a quantity to maximize) can
+        grow no more, the variables in fixed held at 0; returns None then,
+        or the column along which it grows without bound."""
+        n, T, basis, cobasis = self.n, self.T, self.basis, self.cobasis
+        while True:
+            s = None
+            for j, b in enumerate(cobasis):
+                u = objective[j]
+                if (u < 0 or (u and b < n)) and b not in fixed and (s is None or b < cobasis[s]):
+                    s = j
+            if s is None:
+                return None
+            if cobasis[s] < n:
+                return s
+            r = None
+            for i, t in enumerate(T):
+                f = t[s]
+                if f > 0 and basis[i] >= n:
+                    if r is None:
+                        r = i
+                        continue
+                    lhs, rhs = t[-1] * T[r][s], T[r][-1] * f
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                        r = i
+            if r is None:
+                return s
+            self._pivot(r, s, objective)
+
+    def _point(self) -> tuple[Fraction, ...]:
+        """The current basic point."""
+        x = [Fraction(0)] * self.n
+        for i, b in enumerate(self.basis):
+            if b < self.n:
+                x[b] = Fraction(self.T[i][-1], self.d)
+        return tuple(x)
+
+    def _ray(self, s: int, sign: int) -> tuple[Fraction, ...]:
+        v = [0] * self.n
+        for i, b in enumerate(self.basis):
+            if b < self.n:
+                v[b] = -sign * self.T[i][s]
+        if self.cobasis[s] < self.n:
+            v[self.cobasis[s]] = sign * self.d
+        g = math.gcd(*v)
+        return tuple(Fraction(u // g) for u in v)
+
+    def maximize(self, c: Sequence[Fraction]) -> LPResult:
+        """max c.x over the rows, from the last optimal basis."""
+        if not self.feasible:
+            return LPResult("infeasible")
+        objective = self._objective(c)
+        s = self._optimize(objective)
+        if s is not None:
+            return LPResult("unbounded", ray=self._ray(s, -1 if objective[s] > 0 else 1))
+        x = self._point()
+        return LPResult("optimal", dot(c, x), x)
+
+    def lex_min(self) -> tuple[Fraction, ...] | None:
+        """The lexicographically least feasible point, or None when there
+        is none: n sequential LPs that minimize x_1, then x_2 on the face
+        where x_1 is least, and so on.  Each optimum fixes at 0 every
+        nonbasic variable whose reduced cost is nonzero, which cuts the
+        feasible set down to that face.  An unbounded stage raises."""
+        if not self.feasible:
+            return None
+        fixed: set[int] = set()
+        for c in signed_units(self.n)[1::2]:
+            objective = self._objective(c)
+            if self._optimize(objective, fixed) is not None:
+                raise ValueError("no lexicographic minimum: the polyhedron is unbounded below")
+            fixed.update(b for b, u in zip(self.cobasis, objective) if u)
+        return self._point()
+
+
+def signed_units(n: int) -> list[tuple[Fraction, ...]]:
+    """e_1, -e_1, e_2, -e_2, ..., e_n, -e_n."""
+    return [tuple(Fraction(s * (j == i)) for j in range(n)) for i in range(n) for s in (1, -1)]
 
 
 def recession_ray(rows: Sequence[Row], n: int) -> tuple[Fraction, ...] | None:
     """A nonzero v with a.v <= 0 for every row, or None when the recession
     cone is trivial (i.e. the polyhedron is bounded if nonempty).
 
-    Candidate rays come from cross products of normals, which covers
-    1 <= n <= 3 only; larger n raises rather than answer "bounded" wrongly."""
+    2n LPs over the cone cut to the box -1 <= v <= 1: the cone is trivial
+    exactly when every coordinate is 0 at the maximum and the minimum.
+    Kept to 1 <= n <= 3, the desk scale of the callers."""
     if n < 1 or n > 3:
         raise ValueError("recession ray search supported for 1 <= n <= 3")
-    normals = [a for a, _ in rows if any(a)]
-    if rank(normals) < n:
-        # a nonzero null-space vector of the normals; some unit vector projects to one
-        for i in range(n):
-            v = project_to_nullspace([Fraction(int(j == i)) for j in range(n)], normals)
-            if any(v):
-                return tuple(v)
-        return None
-    for cand in _recession_candidates(rows, n):
-        if all(dot(row, cand) <= 0 for row, _ in rows):
-            return cand
+    units = signed_units(n)
+    lp = Simplex([(a, Fraction(0)) for a, _ in rows] + [(e, Fraction(1)) for e in units], n)
+    for c in units:
+        best = lp.maximize(c)
+        if best.value > 0:
+            return best.point
     return None
 
 

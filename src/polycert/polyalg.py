@@ -36,16 +36,6 @@ Key = tuple[tuple[int, int], ...]  # sorted (var, exp) pairs with exp > 0
 UniPoly = list  # dense, ascending; entries all Fraction or all AlgebraicElement of one field
 
 
-def monomial(num_vars: int, *pairs: tuple[int, int]) -> Monomial:
-    """Dense exponent tuple of the product of x_i^e over the (i, e) pairs,
-    0-based indices; repeated indices add, and no pairs gives the constant
-    monomial."""
-    exps = [0] * num_vars
-    for index, exp in pairs:
-        exps[index] += exp
-    return tuple(exps)
-
-
 def _key(exps: Monomial) -> Key:
     """The sparse key of a dense exponent tuple; Python touches only the
     nonzero entries."""
@@ -122,7 +112,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, num_vars: int, c: RatLike) -> "Polynomial":
-        return cls(num_vars, {monomial(num_vars): Fraction(c)})
+        if num_vars < 0:
+            raise ValueError("num_vars must be >= 0")
+        return cls._from_terms(num_vars, {(): Fraction(c)})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "Polynomial":

@@ -585,6 +585,46 @@ class TestCertifyAndCheck:
         assert report["outputs"]["verdict"]["feasible"] is False
         assert "relaxed system violated at rows" in err
 
+    def test_too_small_overrides_are_an_error_report(self, capsys, tmp_path):
+        """x in [0, 10] with 51/2 - x^2 <= 0 at x~ = 101/20: M = 10 and
+        L = 1 put the certificate where the relaxed row fails, a negative
+        outcome with its reason, not a traceback."""
+        x = Polynomial.variable(1, 0)
+        sys_ = PolySystem(1, [(-x, LE0), (x - 10, LE0), (F(51, 2) - x * x, LE0)])
+        path = write_json(tmp_path / "system.json", sys_.to_json())
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(101, 20)]))
+        argv = ["certify", "--system", path, "--point", pt, "--delta", "10", "--big-m", "10", "--lipschitz", "1"]
+        code, report, err = run(capsys, argv)
+        assert code == 1
+        assert "M or L override too small" in report["outputs"]["error"]
+        assert "Traceback" not in err
+
+    def test_hundred_rows_certify_in_a_subprocess(self, tmp_path):
+        """An n = 3 box with 94 random cuts, some through x~: M, boundedness and the vertex
+        come from linear programs, where solving all C(100, 3) row triples
+        took about 48 s."""
+        rng = random.Random(100)
+        x_tilde = [F(2, 7), F(-3, 11), F(5, 13)]
+        xs = Polynomial.variables(3)
+        rows = [(sign * x - 2, LE0) for x in xs for sign in (1, -1)]
+        while len(rows) < 100:
+            a = [rng.randint(-9, 9) for _ in xs]
+            if any(a):
+                b = sum(ai * xi for ai, xi in zip(a, x_tilde)) + F(rng.randint(0, 9), 4)
+                rows.append((sum((ai * x for ai, x in zip(a, xs)), -b), LE0))
+        disc = sum((x * x for x in xs), Polynomial.constant(3, -2))
+        path = write_json(tmp_path / "system.json", PolySystem(3, rows + [(disc, LE0)]).to_json())
+        pt = write_json(tmp_path / "pt.json", point_to_json(x_tilde))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycert.cli", "certify", "--system", path, "--point", pt, "--delta", "1000"],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs = json.loads(proc.stdout)["outputs"]
+        assert outputs["check"]["feasible"] is True
+
 
 class TestSeparable:
     def cubic_json(self, tmp_path, coeffs):

@@ -1,18 +1,23 @@
-"""Exact low-dimensional linear algebra and vertex enumeration."""
+"""Exact low-dimensional linear algebra, the simplex and vertex enumeration."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycert.polyalg import Polynomial
 from polycert.systems import EQ0, LE0, PolySystem
 from polycert.linear import (
+    Simplex,
+    dot,
     enumerate_vertices,
     linear_rows,
     project_to_nullspace,
-    rank,
     recession_ray,
     satisfies,
+    signed_units,
     solve_square,
 )
 
@@ -39,10 +44,6 @@ class TestSolveAndRank:
     def test_singular_returns_none(self):
         A = [[F(1), F(2)], [F(2), F(4)]]
         assert solve_square(A, [F(1), F(2)]) is None
-
-    def test_rank(self):
-        assert rank([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]) == 2
-        assert rank([]) == 0
 
 
 class TestVertices:
@@ -141,3 +142,154 @@ class TestProjection:
 
     def test_projection_onto_full_space(self):
         assert project_to_nullspace([F(2), F(3)], []) == [F(2), F(3)]
+
+
+# -- the simplex against enumeration -------------------------------------------
+
+
+def candidate_recession_ray(rows, n):
+    """The candidate search recession_ray used before the simplex: the
+    null space of the normals when they have rank < n, else cross products
+    of pairs of normals (n = 3), perpendiculars of normals (n = 2) or +-1
+    (n = 1), each kept if every row allows it."""
+    normals = [a for a, _ in rows if any(a)]
+    if rank(normals) < n:
+        for i in range(n):
+            v = project_to_nullspace([F(int(j == i)) for j in range(n)], normals)
+            if any(v):
+                return tuple(v)
+        return None
+    if n == 1:
+        candidates = [(F(1),), (F(-1),)]
+    elif n == 2:
+        candidates = [r for a in normals for r in ((-a[1], a[0]), (a[1], -a[0]))]
+    else:
+        candidates = []
+        for a, b in combinations(normals, 2):
+            r = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+            if any(r):
+                candidates += [r, tuple(-v for v in r)]
+    return next((r for r in candidates if all(dot(a, r) <= 0 for a, _ in rows)), None)
+
+
+def rank(vectors):
+    """Rank by exact Gaussian elimination."""
+    M = [list(v) for v in vectors]
+    rk = 0
+    for col in range(len(M[0]) if M else 0):
+        pivot = next((r for r in range(rk, len(M)) if M[r][col]), None)
+        if pivot is None:
+            continue
+        M[rk], M[pivot] = M[pivot], M[rk]
+        for r in range(rk + 1, len(M)):
+            f = M[r][col] / M[rk][col]
+            M[r] = [u - f * w for u, w in zip(M[r], M[rk])]
+        rk += 1
+    return rk
+
+
+def test_rank_oracle():
+    assert rank([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]) == 2
+    assert rank([]) == 0
+
+
+BIG = 10**6  # past every vertex coordinate the families below can produce
+
+
+def boxed_vertices(rows, n, bound):
+    return enumerate_vertices(rows + rows_box(n, -bound, bound), n)
+
+
+def oracle_max(verts, verts2, c):
+    """max c.x from the vertices of P cut to |x_i| <= BIG and to 2 * BIG:
+    None when P is empty, "unbounded" when doubling the cut raises it."""
+    if not verts:
+        return None
+    best = max(dot(c, v) for v in verts)
+    return "unbounded" if max(dot(c, v) for v in verts2) > best else best
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def polyhedra(draw, n):
+    """Random small rational rows plus degenerate pieces: a box, many rows
+    through one vertex, duplicate and scaled rows, an equality (a flat set)
+    and a contradiction (an empty set)."""
+    vec = st.tuples(*[small] * n)
+    rows = draw(st.lists(st.tuples(vec, small), max_size=3))
+    if draw(st.booleans()):
+        lo = draw(small)
+        rows += rows_box(n, lo, lo + draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        v = draw(vec)
+        rows += [(a, dot(a, v)) for a in draw(st.lists(vec, max_size=3))]
+    for a, b in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else ():
+        k = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+        rows.append((tuple(k * u for u in a), k * b))
+    if draw(st.booleans()):
+        a, b = draw(vec), draw(small)
+        rows += [(a, b), (tuple(-u for u in a), -b)]
+    if draw(st.integers(0, 5)) == 0:
+        a, b = draw(vec), draw(small)
+        rows += [(a, b), (tuple(-u for u in a), -b - 1)]
+    return draw(st.permutations(rows))
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_enumeration(self, n, data):
+        """Per coordinate max and min, a random objective, the lex-min point,
+        emptiness and the recession ray, against the vertices of P cut to
+        |x_i| <= BIG and to 2 * BIG and against the candidate search."""
+        rows = data.draw(polyhedra(n))
+        verts = boxed_vertices(rows, n, BIG)
+        verts2 = boxed_vertices(rows, n, 2 * BIG)
+        lp = Simplex(rows, n)
+        assert lp.feasible == bool(verts)
+        for c in signed_units(n) + [data.draw(st.tuples(*[small] * n))]:
+            want = oracle_max(verts, verts2, c)
+            got = lp.maximize(c)
+            if want is None:
+                assert got.status == "infeasible"
+            elif want == "unbounded":
+                assert got.status == "unbounded"
+                assert any(got.ray) and dot(c, got.ray) > 0
+                assert all(dot(a, got.ray) <= 0 for a, _ in rows)
+            else:
+                assert (got.status, got.value) == ("optimal", want)
+                assert satisfies(rows, got.point) and dot(c, got.point) == want
+        # the lex-min point exists exactly when doubling the cut leaves the
+        # first cut vertex where it is
+        if verts[:1] != verts2[:1]:
+            with pytest.raises(ValueError):
+                Simplex(rows, n).lex_min()
+        else:
+            assert Simplex(rows, n).lex_min() == (verts[0] if verts else None)
+        ray = recession_ray(rows, n)
+        assert (ray is None) == (candidate_recession_ray(rows, n) is None)
+        if ray is not None:
+            assert any(ray) and all(dot(a, ray) <= 0 for a, _ in rows)
+        if verts:
+            assert (ray is None) == (verts == verts2)
+            if ray is None:
+                assert Simplex(rows, n).lex_min() == enumerate_vertices(rows, n)[0]
+
+    def test_empty_polyhedron_with_nontrivial_cone(self):
+        """{x1 <= 0, x1 >= 1} in the plane is empty, yet its cone {v1 = 0}
+        is a line: the LP answers infeasible and recession_ray a ray."""
+        rows = [((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1))]
+        assert not Simplex(rows, 2).feasible
+        assert recession_ray(rows, 2) is not None
+        assert Simplex(rows, 2).lex_min() is None
+
+    def test_many_rows_through_one_vertex(self):
+        """Degenerate at the optimum: every row is tight at (1, 1, 1)."""
+        normals = [(F(a), F(b), F(c)) for a in (1, 2) for b in (1, 3) for c in (1, 5)]
+        rows = [(a, sum(a)) for a in normals] + rows_box(3, -2, 2)
+        lp = Simplex(rows, 3)
+        assert lp.maximize((F(1), F(1), F(1))).value == 3
+        assert lp.maximize((F(1), F(2), F(3))).point == (F(1), F(1), F(1))

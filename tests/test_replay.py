@@ -9,6 +9,7 @@ written file's bytes.  A digest may move only with a declared file-format
 change.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -50,7 +51,11 @@ def test_seed_one_replay(bench, workload, tmp_path, monkeypatch):
     plan = workloads.build(workload, 1, tmp_path).to_json()
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("POLYCERT_PRECISION_CAP", raising=False)
-    result = replay.replay(plan)
+    gc.freeze()  # replay collects before each call; leave the test runner's heap out of it
+    try:
+        result = replay.replay(plan)
+    finally:
+        gc.unfreeze()
     digest = hashlib.sha256()
     failures = []
     for i, (call, rec) in enumerate(zip(plan["calls"], result["calls"])):
