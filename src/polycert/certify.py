@@ -17,9 +17,9 @@ from typing import Sequence
 
 from .ratcore import Scalar, encoding_size_vec, field_of, format_int, format_rat
 from .polyalg import Polynomial
-from .systems import LE0, PolySystem, Verdict, relax, verify
-from .linear import Simplex, linear_rows, recession_ray, signed_units
-from .bounds import lipschitz_constant
+from .systems import EQ0, PolySystem, Verdict, relax, verify
+from .linear import Simplex, linear_rows, signed_units
+from .bounds import delta_bound, lipschitz_constant
 
 
 @dataclass(frozen=True)
@@ -40,57 +40,54 @@ class Certificate:
         }
 
 
-def _combined_system(P: PolySystem, g_list: Sequence[Polynomial]) -> PolySystem:
-    rows = [(c.poly, c.rel, c.tag) for c in P.constraints]
-    rows += [(g, LE0, "nonlinear") for g in g_list]
-    return PolySystem(P.num_vars, rows, P.var_names)
-
-
-def check_scope(P: PolySystem, g_list: Sequence[Polynomial]) -> None:
-    """The preconditions of grid_certificate that cost nothing to check:
-    desk-scale dimension, a purely linear P and at least one row to relax."""
-    if P.num_vars > 3:
-        raise ValueError("vertex enumeration is desk-scale (n <= 3)")
-    if P.num_nonlinear:
-        raise ValueError("P must be purely linear; pass nonlinear rows in g_list")
-    if not g_list:
-        raise ValueError("need at least one nonlinear constraint to certify")
-
-
 def grid_certificate(
-    P: PolySystem,
-    g_list: Sequence[Polynomial],
-    delta: int,
+    system: PolySystem,
+    delta: int | None,
     x_tilde: Sequence[Fraction],
     M: Fraction | None = None,
     L: Fraction | None = None,
 ) -> Certificate:
     """Vertex certificate for the delta-relaxed system, built from a feasible
-    point of the exact system.  M and L can be overridden with exact values
-    (they must still bound the box and the Lipschitz constant for the
-    certificate to verify; verification is always re-run here)."""
-    check_scope(P, g_list)
-    n = P.num_vars
+    point of the exact system: its rows tagged "linear" are the polytope P,
+    kept exact, and its nonlinear LE0 rows are the g that relaxation weakens.
+    A delta of None is the paper bound for the system's shape.  M and L can
+    be overridden with exact values (they must still bound the box and the
+    Lipschitz constant for the certificate to verify; verification is always
+    re-run here)."""
+    n = system.num_vars
+    g_list = []
+    for c in system.constraints:
+        if c.tag == "nonlinear":
+            if c.rel == EQ0:
+                raise ValueError("cannot certify a system with nonlinear equality rows")
+            g_list.append(c.poly)
+    if not 1 <= n <= 3:
+        raise ValueError("certify is desk-scale (1 <= n <= 3)")
+    if not g_list:
+        raise ValueError("need at least one nonlinear constraint to certify")
+    if delta is None:  # only now: its value can be astronomically large
+        delta = delta_bound(
+            n, len(system.constraints), max(system.max_degree, 1), max(system.height, 1)
+        )
     delta = int(delta)
     if delta < 1:
         raise ValueError("delta must be a positive integer")
     if field_of(x_tilde) is not None:
         raise ValueError("x_tilde must be rational: the grid cell is located by exact floors")
     x_tilde = [Fraction(c) for c in x_tilde]
-    exact = _combined_system(P, g_list)
-    v0 = verify(exact, x_tilde)
+    v0 = verify(system, x_tilde)
     if not v0.feasible:
         raise ValueError(
             f"x_tilde does not satisfy the exact system (worst violation {v0.worst_violation})"
         )
-    rows = linear_rows(P)
-    if recession_ray(rows, n) is not None:
+    rows = linear_rows(system)
+    units = signed_units(n)
+    lp = Simplex(rows, n)
+    tops = [lp.maximize(c) for c in units]  # P holds x_tilde: bounded iff all have an optimum
+    if any(top.status == "unbounded" for top in tops):
         raise ValueError("polytope is unbounded")
     if M is None:
-        lp = Simplex(rows, n)
-        if not lp.feasible:
-            raise ValueError("polytope has no vertices")
-        M = max(max(lp.maximize(c).value for c in signed_units(n)), Fraction(1))
+        M = max([top.value for top in tops] + [Fraction(1)])
     else:
         M = Fraction(M)
         if M < 1:
@@ -108,7 +105,6 @@ def grid_certificate(
     width = Fraction(M, phi)
     box_index = []
     cell_rows = list(rows)
-    units = signed_units(n)
     for i, xi in enumerate(x_tilde):
         j = math.floor(xi * phi / M)
         j = max(-phi, min(phi - 1, j))
@@ -118,8 +114,7 @@ def grid_certificate(
     x_bar = Simplex(cell_rows, n).lex_min()
     if x_bar is None:
         raise ValueError("P intersected with the containing cell has no vertex")
-    relaxed = relax(exact, delta)
-    vr = verify(relaxed, list(x_bar))
+    vr = verify(relax(system, delta), list(x_bar))
     if not vr.feasible:
         raise ValueError(
             f"certificate failed relaxed verification (worst {vr.worst_violation}); "

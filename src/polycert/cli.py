@@ -24,13 +24,13 @@ from itertools import chain
 
 from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, json_chunks, json_text, parse_rat, precision_cap
 from .polyalg import Polynomial
-from .systems import EQ0, PolySystem, point_from_json, point_to_json, verify
-from .bounds import bound_report, delta_bound
+from .systems import PolySystem, point_from_json, point_to_json, verify
+from .bounds import bound_report
 from .reductions import VARIANTS, brute_force_sat, parse_dimacs
 from .gadgets import GADGET_BUILDERS, GADGET_DEFAULTS
 from .separable import SeparableCubic, solve_separable
 from .rays import classify_ray, rationalize_unbounded_ray
-from .certify import check_certificate, check_scope, grid_certificate
+from .certify import check_certificate, grid_certificate
 
 
 class UsageError(Exception):
@@ -161,20 +161,6 @@ def _cmd_verify(args, inputs: dict) -> tuple[int, dict]:
     return (0 if v.feasible else 1), {"verdict": v.to_json()}
 
 
-def _split_for_certify(sys_: PolySystem) -> tuple[PolySystem, list[Polynomial]]:
-    lin_rows = []
-    g_list = []
-    for c in sys_.constraints:
-        if c.tag == "linear":
-            lin_rows.append((c.poly, c.rel, c.tag))
-        elif c.rel == EQ0:
-            raise ValueError("cannot certify a system with nonlinear equality rows")
-        else:
-            g_list.append(c.poly)
-    P = PolySystem(sys_.num_vars, lin_rows, sys_.var_names)
-    return P, g_list
-
-
 def _cmd_certify(args, inputs: dict) -> tuple[int, dict]:
     delta = None if args.delta == "paper" else _delta_flag(args.delta)
     big_m = _flag(parse_rat, "--big-m", args.big_m) if args.big_m else None
@@ -182,15 +168,8 @@ def _cmd_certify(args, inputs: dict) -> tuple[int, dict]:
     sys_ = _load(inputs, "system", args.system, _json(PolySystem.from_json), "system")
     x_tilde = _load_point(inputs, "point", args.point, sys_.num_vars)
     inputs["delta"] = args.delta
-    P, g_list = _split_for_certify(sys_)
-    check_scope(P, g_list)  # before delta_bound, whose value can be astronomically large
-    if delta is None:
-        meta = sys_.metadata()
-        delta = delta_bound(
-            sys_.num_vars, len(sys_.constraints), max(meta["d"], 1), max(meta["H"], 1)
-        )
-    cert = grid_certificate(P, g_list, delta, x_tilde, M=big_m, L=lip)
-    check = check_certificate(sys_, delta, list(cert.point))
+    cert = grid_certificate(sys_, delta, x_tilde, M=big_m, L=lip)
+    check = check_certificate(sys_, cert.delta_used, list(cert.point))
     return 0, {"certificate": cert.to_json(), "check": check.to_json()}
 
 
@@ -198,7 +177,7 @@ def _cmd_check(args, inputs: dict) -> tuple[int, dict]:
     delta = _delta_flag(args.delta)
     sys_ = _load(inputs, "system", args.system, _json(PolySystem.from_json), "system")
     x_bar = _load_point(inputs, "point", args.point, sys_.num_vars)
-    inputs["delta"] = args.delta
+    inputs["delta"] = delta
     v = check_certificate(sys_, delta, x_bar)
     if not v.feasible:
         print(f"relaxed system violated at rows {list(v.violated)}", file=sys.stderr)
@@ -338,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify a point against the delta-relaxed system")
     p.add_argument("--system", required=True)
-    p.add_argument("--delta", required=True, type=int)
+    p.add_argument("--delta", required=True)
     p.add_argument("--point", required=True)
     p.set_defaults(handler=_cmd_check)
 

@@ -19,18 +19,16 @@ from .systems import EQ0, PolySystem
 Row = tuple[tuple[Fraction, ...], Fraction]
 
 
-def linear_rows(sys_: PolySystem, tags: tuple[str, ...] = ("linear",)) -> list[Row]:
-    """Rows (a, b) with a.x <= b for the tagged degree-<=1 constraints.
+def linear_rows(sys_: PolySystem) -> list[Row]:
+    """Rows (a, b) with a.x <= b for the constraints tagged "linear".
 
     EQ0 rows become two opposite inequalities.
     """
     rows: list[Row] = []
     n = sys_.num_vars
     for c in sys_.constraints:
-        if c.tag not in tags:
+        if c.tag != "linear":  # a Constraint keeps this tag to degree <= 1
             continue
-        if c.poly.degree() > 1:
-            raise ValueError("non-linear row in linear extraction")
         a = tuple(c.poly.terms.get(((i, 1),), Fraction(0)) for i in range(n))
         b = -c.poly.constant_term()
         rows.append((a, b))

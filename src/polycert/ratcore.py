@@ -4,8 +4,8 @@ Rationals are stdlib ``fractions.Fraction`` values, which are kept in
 canonical form (gcd-reduced, positive denominator) by construction.
 Algebraic numbers live in Q[t]/(t^e - k) for e in {2, 3} and a positive
 integer k that is not a perfect e-th power, with t standing for the real
-positive e-th root of k.  All arithmetic is exact; sign determination
-refines a dyadic enclosure of t until the value's interval excludes zero.
+positive e-th root of k.  All arithmetic is exact; a sign is read off the
+field norm, and floors refine a dyadic enclosure of t.
 The text forms every report uses live here too: format_rat, parse_rat,
 json_text and json_chunks.
 """
@@ -407,21 +407,31 @@ class AlgebraicElement:
 
     __rmul__ = __mul__
 
+    def norm(self) -> Fraction:
+        """N(x) = x * adj(x), the product of x and its conjugates: rational,
+        and nonzero for x != 0 because t^e - k is irreducible.  N(a + b t) =
+        a^2 - k b^2 and N(a + b t + c t^2) = a^3 + k b^3 + k^2 c^3 - 3kabc."""
+        k = self.k
+        if self.e == 2:
+            a, b = self.coeffs
+            return a * a - k * b * b
+        a, b, c = self.coeffs
+        return a ** 3 + k * b ** 3 + k * k * c ** 3 - 3 * k * a * b * c
+
     def inverse(self) -> "AlgebraicElement":
-        """adj(x) / N(x), with the norm N(x) = x * adj(x) rational and nonzero
-        for x != 0 because t^e - k is irreducible.  For x = a + b t (e = 2),
-        adj = a - b t; for x = a + b t + c t^2 (e = 3), adj = (a^2 - kbc) +
-        (kc^2 - ab) t + (b^2 - ac) t^2 and N = a^3 + kb^3 + k^2c^3 - 3kabc."""
+        """adj(x) / N(x).  For x = a + b t (e = 2), adj = a - b t; for
+        x = a + b t + c t^2 (e = 3), adj = (a^2 - kbc) + (kc^2 - ab) t +
+        (b^2 - ac) t^2."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero algebraic element")
         k = self.k
         if self.e == 2:
             a, b = self.coeffs
-            adj, norm = (a, -b), a * a - k * b * b
+            adj = (a, -b)
         else:
             a, b, c = self.coeffs
             adj = (a * a - k * b * c, k * c * c - a * b, b * b - a * c)
-            norm = a ** 3 + k * b ** 3 + k * k * c ** 3 - 3 * k * a * b * c
+        norm = self.norm()
         return AlgebraicElement(self.e, k, tuple(x / norm for x in adj))
 
     def __truediv__(self, other: "AlgebraicElement | RatLike") -> "AlgebraicElement":
@@ -461,19 +471,22 @@ class AlgebraicElement:
         return tot_lo, tot_hi
 
     def sign(self) -> int:
-        """Exact sign of the real value: -1, 0, or +1."""
+        """Exact sign of the real value, -1, 0 or +1, by algebra alone.  For
+        e = 3 it is the sign of N(x): the two complex conjugates of x
+        multiply to |x'|^2 > 0.  For e = 2, a + b t takes the common sign of
+        a and b; when their signs differ it has the sign of a times that of
+        N(x) = (a + b t)(a - b t), as a - b t then has the sign of a."""
         if self.is_zero():
             return 0
         if self.is_rational():
             return sign(self.coeffs[0])
-        bits = 64
-        while True:
-            lo, hi = self.interval(bits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
+        if self.e == 3:
+            return sign(self.norm())
+        a, b = self.coeffs
+        sa, sb = sign(a), sign(b)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa * sign(self.norm())
 
     def compare(self, other: "AlgebraicElement | RatLike") -> int:
         return (self - other).sign()

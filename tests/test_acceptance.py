@@ -193,10 +193,12 @@ def test_criterion_5_certificate_chain():
             g_list.append(q - q.eval(x_tilde) - F(1, 2))
         ell = len(g_list)
 
-        cert = grid_certificate(P, g_list, delta, x_tilde, M=big_m)
+        # tagged, so that a g of degree <= 1 is relaxed too, not put in P
         full = PolySystem(
-            n, [(c.poly, c.rel) for c in P.constraints] + [(g, LE0) for g in g_list]
+            n,
+            [(c.poly, c.rel) for c in P.constraints] + [(g, LE0, "nonlinear") for g in g_list],
         )
+        cert = grid_certificate(full, delta, x_tilde, M=big_m)
         assert check_certificate(full, delta, cert.point).feasible
         assert max(abs(a - b) for a, b in zip(cert.point, x_tilde)) <= big_m / cert.phi
         for g in g_list:

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from polycert.bounds import delta_bound
 from polycert.polyalg import Polynomial
 from polycert.ratcore import AlgebraicElement, encoding_size_vec
-from polycert.systems import LE0, PolySystem
+from polycert.systems import EQ0, LE0, PolySystem
 from polycert.certify import (
     Certificate,
     check_certificate,
@@ -31,31 +32,33 @@ def unit_box(n) -> PolySystem:
 
 
 def combined(P, g_list) -> PolySystem:
+    """P's rows, then each g <= 0 tagged "nonlinear"."""
     rows = [(c.poly, c.rel, c.tag) for c in P.constraints]
     rows += [(g, LE0, "nonlinear") for g in g_list]
     return PolySystem(P.num_vars, rows, P.var_names)
 
 
 DISC = Polynomial(2, {(2, 0): F(2), (0, 2): F(2), (0, 0): F(-1)})
+DISC_BOX = combined(unit_box(2), [DISC])
 X_TILDE = [F(1, 3), F(1, 3)]
 
 
 class TestWorkedExample:
     def test_with_overrides(self):
-        c = grid_certificate(unit_box(2), [DISC], 10, X_TILDE, M=F(1), L=F(4))
+        c = grid_certificate(DISC_BOX, 10, X_TILDE, M=F(1), L=F(4))
         assert c.point == (F(13, 40), F(13, 40))
         assert c.phi == 40 and c.box_index == (13, 13)
         assert c.size_bits == 22 == encoding_size_vec(c.point)
         assert c.delta_used == 10
 
     def test_default_bounds(self):
-        c = grid_certificate(unit_box(2), [DISC], 10, X_TILDE)
+        c = grid_certificate(DISC_BOX, 10, X_TILDE)
         assert c.phi == 320  # L = 32 from the Lipschitz formula, M = 1
         assert c.point == (F(53, 160), F(53, 160))
         assert c.box_index == (106, 106) and c.size_bits == 30
 
     def test_certificate_point_stays_near_x_tilde(self):
-        c = grid_certificate(unit_box(2), [DISC], 10, X_TILDE, M=F(1), L=F(4))
+        c = grid_certificate(DISC_BOX, 10, X_TILDE, M=F(1), L=F(4))
         width = F(1, c.phi)  # M / phi
         assert max(abs(a - b) for a, b in zip(c.point, X_TILDE)) <= width
         assert abs(c.point[0] - F(1, 3)) == F(1, 120)
@@ -63,19 +66,18 @@ class TestWorkedExample:
     def test_relaxed_slack_inequality(self):
         """|g(x_bar) - g(x_tilde)| <= L*M/phi <= 1/(ell*delta), the chain that
         makes the relaxed system accept the vertex."""
-        c = grid_certificate(unit_box(2), [DISC], 10, X_TILDE)
+        c = grid_certificate(DISC_BOX, 10, X_TILDE)
         drift = abs(DISC.eval(list(c.point)) - DISC.eval(X_TILDE))
         assert drift <= F(32 * 1, c.phi) <= F(1, 1 * 10)
         assert DISC.eval(list(c.point)) <= F(1, 10)
 
     def test_checking_direction(self):
-        R = combined(unit_box(2), [DISC])
-        c = grid_certificate(unit_box(2), [DISC], 10, X_TILDE)
-        assert check_certificate(R, 10, list(c.point)).feasible
-        assert not check_certificate(R, 10, [F(1), F(1)]).feasible
+        c = grid_certificate(DISC_BOX, 10, X_TILDE)
+        assert check_certificate(DISC_BOX, 10, list(c.point)).feasible
+        assert not check_certificate(DISC_BOX, 10, [F(1), F(1)]).feasible
 
     def test_json_round_trip_values(self):
-        c = grid_certificate(unit_box(2), [DISC], 10, X_TILDE, M=F(1), L=F(4))
+        c = grid_certificate(DISC_BOX, 10, X_TILDE, M=F(1), L=F(4))
         data = c.to_json()
         assert data["point"]["values"] == ["13/40", "13/40"]
         assert data["phi"] == "40" and data["box_index"] == [13, 13]
@@ -84,35 +86,64 @@ class TestWorkedExample:
 class TestRejections:
     def test_infeasible_seed_point(self):
         with pytest.raises(ValueError, match="x_tilde"):
-            grid_certificate(unit_box(2), [DISC], 10, [F(1), F(1)])
+            grid_certificate(DISC_BOX, 10, [F(1), F(1)])
 
     def test_unbounded_polytope(self):
         P = PolySystem(2, [(Polynomial(2, {(1, 0): F(-1)}), LE0)])
-        with pytest.raises(ValueError, match="unbounded"):
-            grid_certificate(P, [DISC], 10, [F(1, 3), F(0)])
-
-    def test_nonlinear_rows_in_p(self):
-        with pytest.raises(ValueError, match="purely linear"):
-            grid_certificate(combined(unit_box(2), [DISC]), [DISC], 10, X_TILDE)
+        for big_m in (None, F(4)):  # an M given still runs the LPs for boundedness
+            with pytest.raises(ValueError, match="unbounded"):
+                grid_certificate(combined(P, [DISC]), 10, [F(1, 3), F(0)], M=big_m)
 
     def test_empty_g_list(self):
         with pytest.raises(ValueError, match="at least one"):
-            grid_certificate(unit_box(2), [], 10, X_TILDE)
+            grid_certificate(unit_box(2), 10, X_TILDE)
 
     def test_dimension_cap(self):
         g4 = Polynomial(4, {(2, 0, 0, 0): F(1), (0,) * 4: F(-1)})
         with pytest.raises(ValueError, match="n <= 3"):
-            grid_certificate(unit_box(4), [g4], 10, [F(0)] * 4)
+            grid_certificate(combined(unit_box(4), [g4]), 10, [F(0)] * 4)
+        g0 = Polynomial.constant(0, F(-1))
+        with pytest.raises(ValueError, match="1 <= n"):
+            grid_certificate(PolySystem(0, [(g0, LE0, "nonlinear")]), 10, [])
+
+    def test_nonlinear_equality_row(self):
+        sys_ = PolySystem(2, list(DISC_BOX.constraints) + [(DISC, EQ0)])
+        with pytest.raises(ValueError, match="nonlinear equality rows"):
+            grid_certificate(sys_, 10, X_TILDE)
 
     def test_delta_domain(self):
         with pytest.raises(ValueError):
-            grid_certificate(unit_box(2), [DISC], 0, X_TILDE)
+            grid_certificate(DISC_BOX, 0, X_TILDE)
 
     def test_small_bound_overrides(self):
         with pytest.raises(ValueError):
-            grid_certificate(unit_box(2), [DISC], 10, X_TILDE, M=F(1, 2))
+            grid_certificate(DISC_BOX, 10, X_TILDE, M=F(1, 2))
         with pytest.raises(ValueError):
-            grid_certificate(unit_box(2), [DISC], 10, X_TILDE, L=F(1, 2))
+            grid_certificate(DISC_BOX, 10, X_TILDE, L=F(1, 2))
+
+
+class TestSystemAsRead:
+    """grid_certificate takes one system: the rows tagged "linear" are P and
+    the nonlinear LE0 rows are relaxed, whatever their degree."""
+
+    def test_tag_not_degree_puts_row_in_p(self):
+        cut = Polynomial(2, {(1, 0): F(1), (0, 1): F(1), (0, 0): F(-2, 3)})
+        exact = PolySystem(2, list(DISC_BOX.constraints) + [(cut, LE0, "linear")])
+        relaxed = PolySystem(2, list(DISC_BOX.constraints) + [(cut, LE0, "nonlinear")])
+        assert relaxed.num_nonlinear == 2
+        in_p = grid_certificate(exact, 10, X_TILDE, M=F(1), L=F(4))
+        as_g = grid_certificate(relaxed, 10, X_TILDE, M=F(1), L=F(4))
+        assert in_p.phi == 40 and as_g.phi == 80  # phi = L * M * ell * delta
+        assert check_certificate(relaxed, 10, list(as_g.point)).feasible
+        # the cut is exceeded by 1/100 <= 1/(ell * delta) = 1/20
+        over = [F(1, 3) + F(1, 100), F(1, 3)]
+        assert check_certificate(relaxed, 10, over).feasible
+        assert not check_certificate(exact, 10, over).feasible
+
+    def test_delta_none_is_the_paper_bound(self):
+        c = grid_certificate(DISC_BOX, None, X_TILDE, M=F(1), L=F(4))
+        assert c.delta_used == delta_bound(2, 5, 2, 2)
+        assert check_certificate(DISC_BOX, c.delta_used, list(c.point)).feasible
 
 
 class TestRandomized:
@@ -136,8 +167,8 @@ class TestRandomized:
                 margin = F(1, rng.choice([2, 4]))
                 gs.append(q - q.eval(x_t) - margin)
             delta = 10 ** 6
-            c = grid_certificate(P, gs, delta, x_t)
             R = combined(P, gs)
+            c = grid_certificate(R, delta, x_t)
             assert check_certificate(R, delta, list(c.point)).feasible
             ell = len(gs)
             assert max(abs(a - b) for a, b in zip(c.point, x_t)) <= F(1, c.phi)
@@ -146,9 +177,8 @@ class TestRandomized:
 
     def test_relaxation_is_sound_for_exact_points(self):
         """Any exactly feasible point also satisfies every relaxation."""
-        R = combined(unit_box(2), [DISC])
         for delta in (1, 10, 10 ** 9):
-            assert check_certificate(R, delta, [F(1, 2), F(0)]).feasible
+            assert check_certificate(DISC_BOX, delta, [F(1, 2), F(0)]).feasible
 
 
 class TestSosCombine:
@@ -205,7 +235,5 @@ class TestAlgebraicPoints:
         assert v.feasible
 
     def test_grid_certificate_refuses_an_irrational_seed(self):
-        sys_ = self.sqrt2_system()
-        P = PolySystem(1, [(c.poly, c.rel) for c in sys_.constraints[:2]])
         with pytest.raises(ValueError, match="rational"):
-            grid_certificate(P, [sys_.constraints[2].poly], 10, [AlgebraicElement.root(2, 2)])
+            grid_certificate(self.sqrt2_system(), 10, [AlgebraicElement.root(2, 2)])

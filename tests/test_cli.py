@@ -20,13 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from polycert import cli
+from polycert import certify, cli
 from polycert.bounds import delta_bound
 from polycert.cli import main
 from polycert.polyalg import Polynomial
 from polycert.reductions import CnfFormula, build_np_hard_system
 from polycert.systems import LE0, PolySystem, point_from_json, point_to_json
-from polycert.ratcore import AlgebraicElement
+from polycert.ratcore import AlgebraicElement, format_rat, integer_nth_root
 
 TWO_CLAUSE = "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n"
 UNSAT_8 = "p cnf 3 8\n" + "\n".join(
@@ -550,7 +550,7 @@ class TestCertifyAndCheck:
         def refuse(*args):
             raise AssertionError("delta_bound called on an out-of-scope system")
 
-        monkeypatch.setattr(cli, "delta_bound", refuse)
+        monkeypatch.setattr(certify, "delta_bound", refuse)
         pt = write_json(tmp_path / "pt.json", point_to_json([F(0)] * 16))
         code, report, _ = run(capsys, ["certify", "--system", str(out), "--point", pt, "--delta", "paper"])
         assert code == 1
@@ -559,12 +559,13 @@ class TestCertifyAndCheck:
     def test_non_integer_delta_is_usage_error(self, capsys, tmp_path):
         path = unit_box_with_disc(tmp_path)
         pt = write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)]))
-        code, report, err = run(
-            capsys, ["certify", "--system", path, "--point", pt, "--delta", "soon"]
-        )
-        assert code == 2
-        assert report is None
-        assert "--delta" in err
+        for sub in ("certify", "check"):
+            code, report, err = run(
+                capsys, [sub, "--system", path, "--point", pt, "--delta", "soon"]
+            )
+            assert code == 2
+            assert report is None
+            assert "bad --delta value 'soon'" in err
 
     def test_infeasible_seed_is_a_hard_failure(self, capsys, tmp_path):
         path = unit_box_with_disc(tmp_path)
@@ -1024,6 +1025,29 @@ class TestAlgebraicPoints:
         code, report, _ = run(capsys, ["certify", "--system", path, "--point", pt, "--delta", "10"])
         assert code == 1
         assert "rational" in report["outputs"]["error"]
+
+    def test_near_zero_cube_root_coordinate_in_a_subprocess(self, tmp_path):
+        """x = a + cbrt(2) with a = -floor(cbrt(2) * 2^131072) / 2^131072, so
+        0 < x < 2^-131072, against x <= 0: a 79 KB point file.  The sign is
+        read off the field norm; refining an enclosure of cbrt(2) until it
+        excluded zero took about 33 s."""
+        bits = 131072
+        a = F(-integer_nth_root(2 << (3 * bits), 3), 1 << bits)
+        x = Polynomial.variable(1, 0)
+        path = write_json(tmp_path / "s.json", PolySystem(1, [(x, LE0)]).to_json())
+        pt = write_json(tmp_path / "p.json", {"e": 3, "k": 2, "values": [[format_rat(a), "1", "0"]]})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycert.cli", "verify", "--system", path, "--point", pt],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 1, proc.stderr
+        verdict = json.loads(proc.stdout)["outputs"]["verdict"]
+        residual = {"e": 3, "k": 2, "coeffs": [format_rat(a), "1/1", "0/1"]}
+        assert verdict == {
+            "feasible": False, "worst_violation": residual, "residuals": [residual], "violated": [0]
+        }
 
 
 class TestFileMemory:

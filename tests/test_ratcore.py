@@ -314,6 +314,12 @@ class TestAlgebraicElement:
         assert (t - Fraction(1260, 1000)).sign() < 0
         assert (t - t).sign() == 0
 
+    def test_norm(self):
+        t = AlgebraicElement.root(3, 2)
+        assert t.norm() == 2 and (1 + t).norm() == 3
+        assert AlgebraicElement(2, 2, (Fraction(3), Fraction(2))).norm() == 1
+        assert AlgebraicElement.from_rational(2, 5, Fraction(-1, 2)).norm() == Fraction(1, 4)
+
     def test_comparisons(self):
         t = AlgebraicElement.root(3, 2)
         assert t > 1 and t < 2
@@ -417,3 +423,47 @@ class TestPrecisionCap:
 
     def test_refine_dyadic_returns_first_hit(self):
         assert refine_dyadic(lambda k: k if k >= 32 else None, 1 << 16, "target") == 32
+
+
+def _bracket_sign(x: AlgebraicElement) -> int:
+    """The sign by refining an enclosure of the real value until it
+    excludes zero; terminates for x != 0."""
+    if x.is_zero():
+        return 0
+    bits = 64
+    while True:
+        lo, hi = x.interval(bits)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        bits *= 2
+
+
+fields = st.sampled_from([(2, 2), (2, 3), (2, 7), (3, 2), (3, 3), (3, 10)])
+
+
+@st.composite
+def near_zero(draw):
+    """c + t^j with c a dyadic floor or ceiling of -t^j: signs mixed and the
+    value within 2^-bits of zero, so the bracket needs many bits."""
+    e, k = draw(fields)
+    j = draw(st.integers(min_value=1, max_value=e - 1))
+    bits = draw(st.integers(min_value=0, max_value=300))
+    lo, _ = theta_enclosure(e, k ** j, bits)  # t^j = (k^j)^(1/e)
+    c = -lo - draw(st.sampled_from([0, Fraction(1, 1 << bits)]))
+    scale = draw(st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7))
+    coeffs = [c, Fraction(0), Fraction(0)][:e]
+    coeffs[j] = Fraction(1)
+    return AlgebraicElement(e, k, tuple(v * scale for v in coeffs))
+
+
+any_element = st.builds(
+    lambda field, coeffs: AlgebraicElement(*field, tuple(coeffs[: field[0]])),
+    fields,
+    st.lists(rats, min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(any_element, near_zero()))
+def test_sign_by_norm_agrees_with_an_enclosure(x):
+    assert x.sign() == _bracket_sign(x)
