@@ -19,7 +19,7 @@ from .ratcore import Scalar, encoding_size_vec, field_of, format_int, format_rat
 from .polyalg import Polynomial
 from .systems import EQ0, PolySystem, Verdict, relax, verify
 from .linear import Simplex, linear_rows, signed_units
-from .bounds import delta_bound, lipschitz_constant
+from .bounds import delta_bound, lipschitz_constant, phi_bound
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def grid_certificate(
         L = Fraction(L)
         if L < 1:
             raise ValueError("L must be >= 1")
-    phi = math.ceil(L * M * ell * delta)
+    phi = phi_bound(L, M, ell, delta)
     width = Fraction(M, phi)
     box_index = []
     cell_rows = list(rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import AlgebraicElement, Rat, format_rat, sign, squarefree_split
+from .ratcore import AlgebraicElement, Rat, check_tower_bits, format_rat, sign, squarefree_split
 from .polyalg import Polynomial
 from .reductions import Y1_LO, Y_BAR, circle_rows, d_chain_rows, h, y_box_rows
 from .systems import EQ0, LE0, PolySystem, Verdict, point_to_json, verify
@@ -132,6 +132,7 @@ def gadget_tiny(n: int) -> GadgetBundle:
     2^(-2^n), so every feasible s needs at least 2^n bits unless it is 0."""
     if n < 1:
         raise ValueError("need n >= 1")
+    check_tower_bits(n, "gadget tiny")
     nv = n + 1
     s, *d = Polynomial.variables(nv)
     rows = d_chain_rows(d, s)
@@ -151,6 +152,7 @@ def gadget_khachiyan(n: int) -> GadgetBundle:
     has y_n >= 2^(2^(n-1)), so feasible points need exponentially many bits."""
     if n < 1:
         raise ValueError("need n >= 1")
+    check_tower_bits(n - 1, "gadget khachiyan")
     y = Polynomial.variables(n)
     rows = [(2 - y[0], LE0)] + [(yi ** 2 - yj, LE0) for yi, yj in zip(y, y[1:])]
     chain = tuple(Fraction(2 ** (2 ** i)) for i in range(n))
@@ -177,6 +179,7 @@ def gadget_badboy(N: int) -> GadgetBundle:
     """
     if N < 2:
         raise ValueError("need N >= 2")
+    check_tower_bits(N, "gadget badboy")
     nv = N + 2
     x1, x2, *d = Polynomial.variables(nv)
     # (x1 - 1)^2 + x2^2 - d_N^2 >= 3, (x1 + 1)^2 + x2^2 >= 3, x1^2/10 + x2^2 <= 2

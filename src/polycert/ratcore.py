@@ -5,7 +5,7 @@ canonical form (gcd-reduced, positive denominator) by construction.
 Algebraic numbers live in Q[t]/(t^e - k) for e in {2, 3} and a positive
 integer k that is not a perfect e-th power, with t standing for the real
 positive e-th root of k.  All arithmetic is exact; a sign is read off the
-field norm, and floors refine a dyadic enclosure of t.
+field norm, and a floor off one dyadic enclosure of t and at most one sign.
 The text forms every report uses live here too: format_rat, parse_rat,
 json_text and json_chunks.
 """
@@ -27,11 +27,20 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
-# The largest integer parse_rat reads, in bits, and the most significant
-# digits an integer below 2^MAX_PARSED_BITS can have (78914).
+# The largest integer parse_rat reads, in bits, and the most decimal digits
+# an integer below 2^MAX_PARSED_BITS can have: those of 2^MAX_PARSED_BITS.
 MAX_PARSED_BITS = 1 << 18
-_MAX_PARSED_DIGITS = math.floor(MAX_PARSED_BITS * math.log10(2)) + 1
+_MAX_PARSED_DIGITS = 78914
 _INT_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def check_tower_bits(m: int, what: str) -> None:
+    """Refuse, before it is built, a value whose integers reach 2^(2^m), so
+    2^m + 1 bits, when parse_rat could not read them back."""
+    if m >= MAX_PARSED_BITS.bit_length() or (1 << m) + 1 > MAX_PARSED_BITS:
+        raise ValueError(
+            f"{what} needs integers of 2^{m} + 1 bits, past the {MAX_PARSED_BITS}-bit limit of parse_rat"
+        )
 
 
 def parse_rat(text: str) -> Fraction:
@@ -237,7 +246,14 @@ def integer_nth_root(x: int, e: int) -> int:
         return x
     if e == 2:
         return math.isqrt(x)
-    r = 1 << ((x.bit_length() + e - 1) // e)
+    # one more than the root of x's top bits, shifted back up, lies above the
+    # root by a relative 2^-s or so: Newton from there takes two or three
+    # full-size divisions, where from a power of two it takes log2(s) or more
+    s = x.bit_length() // (2 * e)
+    if s >= 128:
+        r = (integer_nth_root(x >> (e * s), e) + 1) << s
+    else:
+        r = 1 << ((x.bit_length() + e - 1) // e)
     while True:
         nr = ((e - 1) * r + x // r ** (e - 1)) // e
         if nr >= r:
@@ -473,20 +489,14 @@ class AlgebraicElement:
     def sign(self) -> int:
         """Exact sign of the real value, -1, 0 or +1, by algebra alone.  For
         e = 3 it is the sign of N(x): the two complex conjugates of x
-        multiply to |x'|^2 > 0.  For e = 2, a + b t takes the common sign of
-        a and b; when their signs differ it has the sign of a times that of
-        N(x) = (a + b t)(a - b t), as a - b t then has the sign of a."""
+        multiply to |x'|^2 > 0.  For e = 2 it is sign_plus_root."""
         if self.is_zero():
             return 0
         if self.is_rational():
             return sign(self.coeffs[0])
         if self.e == 3:
             return sign(self.norm())
-        a, b = self.coeffs
-        sa, sb = sign(a), sign(b)
-        if sa * sb >= 0:
-            return sa or sb
-        return sa * sign(self.norm())
+        return sign_plus_root(*self.coeffs, self.k)
 
     def compare(self, other: "AlgebraicElement | RatLike") -> int:
         return (self - other).sign()
@@ -497,17 +507,18 @@ class AlgebraicElement:
     def __ge__(self, other): return self.compare(other) >= 0
 
     def floor_scaled(self, bits: int) -> int:
-        """floor(value * 2^bits), exact."""
+        """floor(value * 2^bits), exact, from one enclosure and at most one
+        sign.  c_j t^j widens the enclosure by at most |c_j| j (k+1)^(j-1)
+        2^-prec, so at this prec it is narrower than 2^-(bits+1): its ends
+        floor to j or j + 1, and the sign of value - (j+1)/2^bits decides."""
         if self.is_rational():
             return math.floor(self.coeffs[0] * (1 << bits))
-        prec = max(64, bits + 16)
-        while True:
-            lo, hi = self.interval(prec)
-            flo = math.floor(lo * (1 << bits))
-            fhi = math.floor(hi * (1 << bits))
-            if flo == fhi:
-                return flo
-            prec *= 2
+        spread = sum(abs(c) * j * (self.k + 1) ** (j - 1) for j, c in enumerate(self.coeffs[1:], 1))
+        lo, hi = self.interval(max(64, bits + 16, bits + 1 + math.ceil(spread).bit_length()))
+        j = math.floor(lo * (1 << bits))
+        if j == math.floor(hi * (1 << bits)) or (self - Fraction(j + 1, 1 << bits)).sign() < 0:
+            return j
+        return j + 1
 
     def __str__(self) -> str:
         return " + ".join(f"({format_rat(c)})*t^{j}" for j, c in enumerate(self.coeffs))
@@ -524,6 +535,17 @@ def sign(x: Scalar) -> int:
     if isinstance(x, AlgebraicElement):
         return x.sign()
     return (x > 0) - (x < 0)
+
+
+def sign_plus_root(a: Scalar, b: Fraction, k: int) -> int:
+    """Exact sign of a + b sqrt(k) for a rational or algebraic a: the common
+    sign of a and b; when their signs differ, the sign of a times that of
+    a^2 - k b^2 = (a + b sqrt k)(a - b sqrt k), as a - b sqrt k then has the
+    sign of a."""
+    sa, sb = sign(a), sign(b)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * sign(a * a - k * b * b)
 
 
 def dyadic_floor(x: Scalar, bits: int) -> Fraction:

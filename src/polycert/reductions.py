@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratcore import AlgebraicElement, integer_nth_root, precision_cap, refine_dyadic
+from .ratcore import AlgebraicElement, check_tower_bits, precision_cap, refine_dyadic, theta_enclosure
 from .polyalg import Polynomial
 from .systems import EQ0, LE0, PolySystem
 
@@ -298,9 +298,7 @@ def find_y_hat(bound: Fraction) -> tuple[Fraction, Fraction]:
         raise ValueError("bound must be positive")
 
     def try_at(k: int) -> tuple[Fraction, Fraction] | None:
-        scale = Fraction(1, 1 << k)
-        y1 = integer_nth_root(2 << (3 * k), 3) * scale
-        y2 = integer_nth_root(4 << (3 * k), 3) * scale
+        y1, y2 = theta_enclosure(3, 2, k)[0], theta_enclosure(3, 4, k)[0]
         if (
             Y1_LO <= y1 <= Y1_HI
             and Y2_LO <= y2 <= Y2_HI
@@ -376,6 +374,12 @@ def _with_squares(cnf: CnfFormula, point: list) -> list:
     return point + [y1 * y1, y2 * y2]
 
 
+def _quad_witness_always(cnf: CnfFormula) -> list[Fraction]:
+    # y_1 and y_2 have up to 2^n fractional bits, so y_1^2 up to 2^(n+1)
+    check_tower_bits(cnf.num_vars + 1, "the always witness of the quad variant")
+    return _with_squares(cnf, witness_always(cnf))
+
+
 # The CLI's reduction variants.  "build" maps a formula to (system,
 # objective or None); each witness mode maps to the builder of a feasible
 # point in the variant's layout: "sat" takes (cnf, assignment), "always"
@@ -384,7 +388,7 @@ VARIANTS = {
     "quad": {
         "build": lambda cnf: (build_np_hard_system(cnf, quadratize=True), None),
         "sat": lambda cnf, assignment: _with_squares(cnf, witness_satisfiable(cnf, assignment)),
-        "always": lambda cnf: _with_squares(cnf, witness_always(cnf)),
+        "always": _quad_witness_always,
     },
     "cubic": {
         "build": lambda cnf: (build_cubic_system(cnf), None),

@@ -33,6 +33,7 @@ from .ratcore import (
     precision_cap,
     refine_dyadic,
     sign,
+    sign_plus_root,
 )
 from .polyalg import Polynomial, uni_derivative, uni_eval
 from .systems import PolySystem
@@ -99,9 +100,9 @@ def _coefficient(v) -> Fraction:
 
 def _sum_sign(terms) -> int:
     """Exact sign of a sum of Fractions and elements of Q(sqrt k) from at most
-    two fields.  With two, the sum is u + d sqrt(q) for u in Q(sqrt p); when
-    u and d sqrt(q) differ in sign, the sign of u^2 - d^2 q in Q(sqrt p) says
-    which is larger, whether or not p and q are squarefree."""
+    two fields.  With two, the sum is u + d sqrt(q) for u in Q(sqrt p), whose
+    sign sign_plus_root reads off u, d and u^2 - d^2 q in Q(sqrt p), whether
+    or not p and q are squarefree."""
     rational = Fraction(0)
     fields: dict[int, AlgebraicElement] = {}
     for x in terms:
@@ -114,11 +115,7 @@ def _sum_sign(terms) -> int:
     if len(fields) < 2:
         return sign(sum(fields.values(), rational))
     u, w = fields.values()
-    u, d, q = u + rational + w.coeffs[0], w.coeffs[1], w.k
-    su, sd = u.sign(), sign(d)
-    if su * sd >= 0:
-        return su or sd
-    return su * (u * u - d * d * q).sign()
+    return sign_plus_root(u + rational + w.coeffs[0], w.coeffs[1], w.k)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from polycert.cli import main
 from polycert.polyalg import Polynomial
 from polycert.reductions import CnfFormula, build_np_hard_system
 from polycert.systems import LE0, PolySystem, point_from_json, point_to_json
-from polycert.ratcore import AlgebraicElement, format_rat, integer_nth_root
+from polycert.ratcore import AlgebraicElement, format_rat, integer_nth_root, parse_rat
 
 TWO_CLAUSE = "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n"
 UNSAT_8 = "p cnf 3 8\n" + "\n".join(
@@ -490,6 +490,45 @@ class TestReduce:
         assert code == 2
         assert report is None
         assert str(cnf) in err
+
+
+def _writer_argv(tmp_path, builder: str, n: int) -> list[str]:
+    """The argv that writes the builder's output at size n to tmp_path."""
+    sys_path = str(tmp_path / "sys.json")
+    if builder == "quad":
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(f"p cnf {n} 1\n1 -2 {n} 0\n")
+        return ["reduce", "--cnf", str(cnf), "--variant", "quad", "--witness", "always", "--out", sys_path]
+    param = "N" if builder == "badboy" else "n"
+    return ["gadget", "--name", builder, "--param", f"{param}={n}", "--out", sys_path,
+            "--landmarks", str(tmp_path / "lms.json")]
+
+
+class TestWriterReaderAgree:
+    """Each builder whose integers grow as 2^(2^n) refuses, with exit 1, the
+    first size whose file parse_rat could not read back (2^18 + 1 bits);
+    one size below, what it writes goes back through verify."""
+
+    @pytest.mark.parametrize("builder, refused", [("tiny", 18), ("khachiyan", 19), ("badboy", 18), ("quad", 17)])
+    def test_refused_at_the_threshold_and_read_back_below(self, capsys, tmp_path, builder, refused):
+        code, report, err = run(capsys, _writer_argv(tmp_path, builder, refused))
+        assert code == 1
+        assert "needs integers of 2^18 + 1 bits" in report["outputs"]["error"], err
+        assert not (tmp_path / "sys.json").exists()
+
+        code, report, err = run(capsys, _writer_argv(tmp_path, builder, refused - 1))
+        assert code == 0, err
+        sys_path = str(tmp_path / "sys.json")
+        if builder == "quad":
+            points = [(report["outputs"]["witness"], True)]
+        else:
+            lms = json.loads((tmp_path / "lms.json").read_text())
+            assert all(parse_rat(lm["expect_worst"]) >= 0 for lm in lms)
+            points = [(lm["point"], lm["expect_feasible"]) for lm in lms]
+        for point, feasible in points:
+            pt = write_json(tmp_path / "pt.json", point)
+            code, report, err = run(capsys, ["verify", "--system", sys_path, "--point", pt])
+            assert code == (0 if feasible else 1), err
 
 
 class TestCertifyAndCheck:

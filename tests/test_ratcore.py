@@ -2,18 +2,25 @@
 
 import decimal
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycert import ratcore
 from polycert.ratcore import (
     MAX_PARSED_BITS,
     AlgebraicElement,
     PRECISION_CAP_ENV,
     PrecisionCapError,
     SQUAREFREE_SPLIT_MAX,
+    check_tower_bits,
     dyadic_floor,
     encoding_size,
     encoding_size_vec,
@@ -70,6 +77,15 @@ class TestRationalCodec:
             parse_rat(format_int(largest + 1))
         with pytest.raises(ValueError, match="bits"):
             parse_rat("1/" + "1" * 10 ** 6)
+
+    def test_max_parsed_digits_are_those_of_the_cap(self):
+        assert ratcore._MAX_PARSED_DIGITS == len(format_int(1 << MAX_PARSED_BITS))
+
+    def test_check_tower_bits_refuses_past_the_cap(self):
+        check_tower_bits(17, "x")  # 2^17 + 1 bits
+        for m in (18, 10 ** 12):
+            with pytest.raises(ValueError, match=f"x needs integers of 2\\^{m} \\+ 1 bits"):
+                check_tower_bits(m, "x")
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1 << 12, max_value=MAX_PARSED_BITS), st.booleans(), st.randoms())
@@ -202,6 +218,13 @@ class TestRoots:
 
     def test_exact_cube(self):
         assert integer_nth_root(2 ** 30, 3) == 2 ** 10
+
+    @given(st.integers(min_value=1, max_value=1 << 4000), st.integers(min_value=3, max_value=5), st.integers(-1, 1))
+    def test_integer_nth_root_from_the_top_bits(self, r, e, offset):
+        """A root of 256 bits or more starts from the root of the top bits."""
+        x = max(r ** e + offset, 0)
+        root = integer_nth_root(x, e)
+        assert root ** e <= x < (root + 1) ** e
 
     def test_theta_enclosure_brackets_cube_root_of_two(self):
         lo, hi = theta_enclosure(3, 2, 40)
@@ -467,3 +490,48 @@ any_element = st.builds(
 @given(st.one_of(any_element, near_zero()))
 def test_sign_by_norm_agrees_with_an_enclosure(x):
     assert x.sign() == _bracket_sign(x)
+
+
+def _loop_floor(x: AlgebraicElement, bits: int) -> int:
+    """floor(x * 2^bits) by doubling an enclosure's precision until both of
+    its ends floor alike; terminates for x not a multiple of 2^-bits."""
+    prec = max(64, bits + 16)
+    while True:
+        lo, hi = x.interval(prec)
+        if math.floor(lo * (1 << bits)) == math.floor(hi * (1 << bits)):
+            return math.floor(lo * (1 << bits))
+        prec *= 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(any_element, near_zero()),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=0, max_value=120),
+)
+def test_floor_from_one_enclosure_agrees_with_the_loop(x, bits, j, scale_bits):
+    """Shifted by j/2^bits, a near_zero element lies next to the boundary
+    between floors j - 1 and j, where one enclosure cannot decide; scaled by
+    2^scale_bits, its coefficients set the enclosure's precision."""
+    x = x * (1 << scale_bits) + Fraction(j, 1 << bits)
+    assert x.floor_scaled(bits) == _loop_floor(x, bits)
+
+
+def test_floor_near_a_deep_dyadic_boundary_in_a_subprocess():
+    """x = 5/256 + (cbrt 2 - lo) with 0 < cbrt 2 - lo < 2^-260000, so
+    floor(x * 2^8) = 5; doubling the enclosure's precision until both ends
+    floored alike took 8.6 s."""
+    code = (
+        "from fractions import Fraction\n"
+        "from polycert.ratcore import AlgebraicElement, theta_enclosure\n"
+        "lo = theta_enclosure(3, 2, 260000)[0]\n"
+        "print((Fraction(5, 256) - lo + AlgebraicElement.root(3, 2)).floor_scaled(8))\n"
+    )
+    src = str(Path(ratcore.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=5,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "5"
