@@ -29,13 +29,14 @@ class Certificate:
     phi: int
     box_index: tuple[int, ...]
     size_bits: int
+    check: Verdict | None = None  # the relaxed verdict of point; not written
 
     def to_json(self) -> dict:
         return {
             "point": {"values": [format_rat(v) for v in self.point]},
             "delta_used": format_int(self.delta_used),
             "phi": format_int(self.phi),
-            "box_index": list(self.box_index),
+            "box_index": [format_int(j) for j in self.box_index],
             "size_bits": self.size_bits,
         }
 
@@ -114,7 +115,7 @@ def grid_certificate(
     x_bar = Simplex(cell_rows, n).lex_min()
     if x_bar is None:
         raise ValueError("P intersected with the containing cell has no vertex")
-    vr = verify(relax(system, delta), list(x_bar))
+    vr = check_certificate(system, delta, x_bar)
     if not vr.feasible:
         raise ValueError(
             f"certificate failed relaxed verification (worst {vr.worst_violation}); "
@@ -126,6 +127,7 @@ def grid_certificate(
         phi,
         tuple(box_index),
         encoding_size_vec(x_bar),
+        vr,
     )
 
 

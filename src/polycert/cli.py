@@ -9,7 +9,7 @@ Every payload is one JSON object on standard output; diagnostics go to
 standard error.  Numbers inside payloads are "num/den" strings and every
 verdict is computed in exact arithmetic; the report's "exact" flag documents
 that no floating point was involved.  The environment variable
-POLYCERT_PRECISION_CAP (integer bits) overrides the dyadic refinement caps.
+POLYCERT_PRECISION_CAP (integer bits) overrides the dyadic refinement cap.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import time
 from fractions import Fraction
 from itertools import chain
 
-from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, json_chunks, json_text, parse_rat, precision_cap
+from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, format_int, json_chunks, json_text
+from .ratcore import parse_int, parse_rat, precision_cap
 from .polyalg import Polynomial
 from .systems import PolySystem, point_from_json, point_to_json, verify
 from .bounds import bound_report
@@ -86,15 +87,16 @@ def _load_point(inputs: dict, key: str, path: str, num_vars: int) -> list:
 
 
 def _flag(parse, name: str, raw: str):
-    """The value of a flag; a malformed one is a usage error."""
+    """The value of a flag; a malformed one is a usage error echoing at most 40 characters."""
     try:
         return parse(raw)
     except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad {name} value {raw!r}: {e}") from e
+        shown = raw if len(raw) <= 40 else raw[:37] + "..."
+        raise UsageError(f"bad {name} value {shown!r}: {e}") from e
 
 
 def _delta_flag(raw) -> int:
-    delta = _flag(int, "--delta", raw)
+    delta = _flag(parse_int, "--delta", raw)
     if delta < 1:
         raise UsageError("--delta must be a positive integer")
     return delta
@@ -144,7 +146,7 @@ def _emit(outputs: dict, key: str, payload, path: str | None) -> None:
 def _check_precision_cap() -> None:
     """A malformed cap override is a usage error, caught before any work."""
     try:
-        precision_cap(0)
+        precision_cap()
     except ValueError as e:
         raise UsageError(f"{PRECISION_CAP_ENV} must be an integer number of bits: {e}") from e
 
@@ -169,15 +171,14 @@ def _cmd_certify(args, inputs: dict) -> tuple[int, dict]:
     x_tilde = _load_point(inputs, "point", args.point, sys_.num_vars)
     inputs["delta"] = args.delta
     cert = grid_certificate(sys_, delta, x_tilde, M=big_m, L=lip)
-    check = check_certificate(sys_, cert.delta_used, list(cert.point))
-    return 0, {"certificate": cert.to_json(), "check": check.to_json()}
+    return 0, {"certificate": cert.to_json(), "check": cert.check.to_json()}
 
 
 def _cmd_check(args, inputs: dict) -> tuple[int, dict]:
     delta = _delta_flag(args.delta)
     sys_ = _load(inputs, "system", args.system, _json(PolySystem.from_json), "system")
     x_bar = _load_point(inputs, "point", args.point, sys_.num_vars)
-    inputs["delta"] = delta
+    inputs["delta"] = args.delta
     v = check_certificate(sys_, delta, x_bar)
     if not v.feasible:
         print(f"relaxed system violated at rows {list(v.violated)}", file=sys.stderr)
@@ -194,10 +195,10 @@ def _cmd_gadget(args, inputs: dict) -> tuple[int, dict]:
             raise UsageError(
                 f"bad --param {raw!r}; gadget {args.name} takes: {allowed}"
             )
-        parse = parse_rat if isinstance(defaults[key], Fraction) else int
+        parse = parse_rat if isinstance(defaults[key], Fraction) else parse_int
         params[key] = _flag(parse, f"--param {key}", val)
     inputs["name"] = args.name
-    inputs["params"] = {k: str(v) for k, v in sorted(params.items())}
+    inputs["params"] = {k: format_int(v) if isinstance(v, int) else str(v) for k, v in sorted(params.items())}
     bundle = GADGET_BUILDERS[args.name](**params)
     outputs: dict = {"notes": list(bundle.notes)}
     _emit(outputs, "system", bundle.system.to_json(), args.out)

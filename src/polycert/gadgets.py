@@ -239,7 +239,7 @@ def gadget_socp(a: int, b: int, c: int, d: int) -> GadgetBundle:
         if not isinstance(v, int) or v < 1:
             raise ValueError("a, b, c, d must be positive integers")
     if a * a + b * b + c * c != d * d:
-        raise ValueError(f"not a Pythagorean quadruple: {a}^2+{b}^2+{c}^2 != {d}^2")
+        raise ValueError("not a Pythagorean quadruple: a^2+b^2+c^2 != d^2")
     x0, x1, x2, x3 = Polynomial.variables(4)
     rows = [
         (x1 ** 2 + x2 ** 2 - x0 ** 2, LE0),

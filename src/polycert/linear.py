@@ -81,13 +81,11 @@ def enumerate_vertices(rows: Sequence[Row], n: int) -> list[tuple[Fraction, ...]
 @dataclass(frozen=True)
 class LPResult:
     """One answer of `Simplex.maximize`: "optimal" with the optimum and a
-    vertex attaining it, "unbounded" with a ray of the feasible set along
-    which the objective grows, or "infeasible"."""
+    vertex attaining it, "unbounded", or "infeasible"."""
 
     status: str
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
-    ray: tuple[Fraction, ...] | None = None
 
 
 def _integer_row(a: Sequence[Fraction], b: Fraction) -> list[int]:
@@ -232,24 +230,12 @@ class Simplex:
                 x[b] = Fraction(self.T[i][-1], self.d)
         return tuple(x)
 
-    def _ray(self, s: int, sign: int) -> tuple[Fraction, ...]:
-        v = [0] * self.n
-        for i, b in enumerate(self.basis):
-            if b < self.n:
-                v[b] = -sign * self.T[i][s]
-        if self.cobasis[s] < self.n:
-            v[self.cobasis[s]] = sign * self.d
-        g = math.gcd(*v)
-        return tuple(Fraction(u // g) for u in v)
-
     def maximize(self, c: Sequence[Fraction]) -> LPResult:
         """max c.x over the rows, from the last optimal basis."""
         if not self.feasible:
             return LPResult("infeasible")
-        objective = self._objective(c)
-        s = self._optimize(objective)
-        if s is not None:
-            return LPResult("unbounded", ray=self._ray(s, -1 if objective[s] > 0 else 1))
+        if self._optimize(self._objective(c)) is not None:
+            return LPResult("unbounded")
         x = self._point()
         return LPResult("optimal", dot(c, x), x)
 

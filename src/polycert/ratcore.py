@@ -27,8 +27,9 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
-# The largest integer parse_rat reads, in bits, and the most decimal digits
-# an integer below 2^MAX_PARSED_BITS can have: those of 2^MAX_PARSED_BITS.
+# The largest integer parse_rat reads, in bits (half of it is precision_cap's
+# default), and the most decimal digits an integer below 2^MAX_PARSED_BITS
+# can have: those of 2^MAX_PARSED_BITS.
 MAX_PARSED_BITS = 1 << 18
 _MAX_PARSED_DIGITS = 78914
 _INT_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
@@ -39,28 +40,26 @@ def check_tower_bits(m: int, what: str) -> None:
     2^m + 1 bits, when parse_rat could not read them back."""
     if m >= MAX_PARSED_BITS.bit_length() or (1 << m) + 1 > MAX_PARSED_BITS:
         raise ValueError(
-            f"{what} needs integers of 2^{m} + 1 bits, past the {MAX_PARSED_BITS}-bit limit of parse_rat"
+            f"{what} needs integers of 2^{format_int(m)} + 1 bits, past the {MAX_PARSED_BITS}-bit limit of parse_rat"
         )
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse "num/den", "num", or a decimal literal into an exact Fraction.
+    """The exact value of a "num/den" or "num" literal, num being [+-]digits
+    and den digits, in ASCII, with surrounding whitespace.  Every other form
+    (decimal, exponent, underscore) is refused, as is an integer past
+    MAX_PARSED_BITS bits."""
+    m = _INT_RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError('expected "num/den" or an integer in ASCII digits')
+    return Fraction(*map(_parse_big_int, m.groups("1")))
 
-    Fraction(str) refuses integers past the interpreter's int-to-str digit
-    limit; a "num/den" or "num" literal past it is converted exactly by
-    _parse_big_int, up to MAX_PARSED_BITS bits per integer.
-    """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty rational literal")
-    try:
-        return Fraction(s)
-    except ValueError:
-        m = _INT_RATIONAL.fullmatch(s)
-        if m is None:
-            raise
-    num, den = (_parse_big_int(g) for g in m.groups("1"))
-    return Fraction(num, den)
+
+def parse_int(text: str) -> int:
+    """The value of a "num" literal, by parse_rat's grammar and cap."""
+    if "/" in text:
+        raise ValueError("expected an integer, not a fraction")
+    return parse_rat(text).numerator
 
 
 def _parse_big_int(digits: str) -> int:
@@ -315,20 +314,22 @@ class PrecisionCapError(RuntimeError):
     """A dyadic refinement loop hit its precision cap before meeting its target."""
 
 
-def precision_cap(default: int) -> int:
-    """Bit budget for dyadic refinement loops; POLYCERT_PRECISION_CAP overrides."""
+def precision_cap() -> int:
+    """Bit budget of refine_dyadic: POLYCERT_PRECISION_CAP, else the largest
+    k = 8 * 2^i whose dyadic points (k + 1-bit denominators) parse_rat reads."""
     raw = os.environ.get(PRECISION_CAP_ENV)
-    return int(raw) if raw else default
+    return parse_int(raw) if raw else MAX_PARSED_BITS // 2
 
 
 T = TypeVar("T")
 
 
-def refine_dyadic(try_at: Callable[[int], T | None], cap: int, target: str) -> T:
-    """First non-None try_at(k) for k = 8, 16, 32, ... while k <= cap.
+def refine_dyadic(try_at: Callable[[int], T | None], target: str) -> T:
+    """First non-None try_at(k) for k = 8, 16, 32, ... while k <= precision_cap().
 
-    Raises PrecisionCapError, naming the target sought, once k passes cap.
+    Raises PrecisionCapError, naming the target sought, once k passes the cap.
     """
+    cap = precision_cap()
     k = 8
     while k <= cap:
         hit = try_at(k)

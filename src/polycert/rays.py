@@ -8,12 +8,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratcore import dyadic_floor, field_of, precision_cap, refine_dyadic, sign
+from .ratcore import dyadic_floor, field_of, refine_dyadic, sign
 from .polyalg import Polynomial, uni_degree
 from .systems import PolySystem, scalar_to_json
 from .linear import dot, linear_rows, project_to_nullspace, satisfies
-
-DEFAULT_RAY_CAP = 1 << 16
 
 TO_PLUS_INFINITY = "to_plus_infinity"
 TO_MINUS_INFINITY = "to_minus_infinity"
@@ -128,7 +126,7 @@ def rationalize_unbounded_ray(
             return x_t, v_p
         raise ValueError("projection onto the recession cone lost cubic growth (f3 <= 0)")
 
-    return refine_dyadic(try_at, precision_cap(DEFAULT_RAY_CAP), "qualifying dyadic pair")
+    return refine_dyadic(try_at, "qualifying dyadic pair")
 
 
 def quartic_counterexample() -> Polynomial:

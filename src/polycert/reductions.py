@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratcore import AlgebraicElement, check_tower_bits, precision_cap, refine_dyadic, theta_enclosure
+from .ratcore import AlgebraicElement, check_tower_bits, refine_dyadic, theta_enclosure
 from .polyalg import Polynomial
 from .systems import EQ0, LE0, PolySystem
 
@@ -40,8 +40,6 @@ Y1_HI = Fraction(1260, 1000)
 Y2_LO = Fraction(1587, 1000)
 Y2_HI = Fraction(1590, 1000)
 Y_BAR = (Fraction(-274, 100), Fraction(1588, 1000))
-
-DEFAULT_PRECISION_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -307,8 +305,7 @@ def find_y_hat(bound: Fraction) -> tuple[Fraction, Fraction]:
             return y1, y2
         return None
 
-    cap = precision_cap(DEFAULT_PRECISION_CAP)
-    return refine_dyadic(try_at, cap, "dyadic point with h(y) below the bound")
+    return refine_dyadic(try_at, "dyadic point with h(y) below the bound")
 
 
 def witness_always(cnf: CnfFormula) -> list[Fraction]:

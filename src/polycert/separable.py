@@ -30,7 +30,6 @@ from .ratcore import (
     encoding_size_vec,
     format_rat,
     parse_rat,
-    precision_cap,
     refine_dyadic,
     sign,
     sign_plus_root,
@@ -38,8 +37,6 @@ from .ratcore import (
 from .polyalg import Polynomial, uni_derivative, uni_eval
 from .systems import PolySystem
 from .linear import dot, enumerate_vertices, linear_rows, recession_ray, satisfies
-
-DEFAULT_DYADIC_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,6 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
     if not verts:
         return SolveResult("infeasible", note="empty polytope")
     g = sc.polynomial()
-    cap = precision_cap(DEFAULT_DYADIC_CAP)
 
     for v in verts:
         if g.eval(list(v)) <= 0:
@@ -243,7 +239,7 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
                             return _result_point([a + t * (b - a) for a, b in zip(v0, v1)])
                         return None
 
-                    return refine_dyadic(try_at, cap, "dyadic point with f <= 0 on an edge")
+                    return refine_dyadic(try_at, "dyadic point with f <= 0 on an edge")
 
     # interior critical point: per coordinate, the root of f_i' where f_i'' > 0
     coords = []
@@ -263,7 +259,7 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
                 return _result_point(x)
             return None
 
-        return refine_dyadic(try_at, cap, "dyadic point with f <= 0 near the interior minimizer")
+        return refine_dyadic(try_at, "dyadic point with f <= 0 near the interior minimizer")
     if vsign == 0:  # a zero minimum lies at a rational critical point
         return _result_point(coords)
     return SolveResult("infeasible")

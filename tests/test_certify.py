@@ -80,7 +80,7 @@ class TestWorkedExample:
         c = grid_certificate(DISC_BOX, 10, X_TILDE, M=F(1), L=F(4))
         data = c.to_json()
         assert data["point"]["values"] == ["13/40", "13/40"]
-        assert data["phi"] == "40" and data["box_index"] == [13, 13]
+        assert data["phi"] == "40" and data["box_index"] == ["13", "13"]
 
 
 class TestRejections:

@@ -310,6 +310,23 @@ class TestGadget:
         assert code == 2
         assert report is None
 
+    def test_integer_params_take_the_literal_grammar(self, capsys):
+        code, report, _ = run(capsys, ["gadget", "--name", "tiny", "--param", "n= +05"])
+        assert code == 0
+        assert report["inputs"]["params"] == {"n": "5"}
+        code, report, err = run(capsys, ["gadget", "--name", "tiny", "--param", "n=1_0"])
+        assert code == 2
+        assert report is None
+        assert "ASCII digits" in err
+
+    @pytest.mark.parametrize("name, param, reason", [("socp", "a", "not a Pythagorean quadruple"), ("tiny", "n", "needs integers of 2^1000")])
+    def test_integer_param_past_the_digit_limit_is_a_negative_outcome(self, capsys, name, param, reason):
+        big = "1" + "0" * 5000
+        code, report, _ = run(capsys, ["gadget", "--name", name, "--param", f"{param}={big}"])
+        assert code == 1
+        assert report["inputs"]["params"][param] == big
+        assert reason in report["outputs"]["error"]
+
     def test_unknown_gadget_name_rejected_by_parser(self, capsys):
         code, report, _ = run(capsys, ["gadget", "--name", "mystery"])
         assert code == 2
@@ -546,7 +563,7 @@ class TestCertifyAndCheck:
         cert = report["outputs"]["certificate"]
         assert cert["phi"] == "40"
         assert cert["point"]["values"] == ["13/40", "13/40"]
-        assert cert["box_index"] == [13, 13]
+        assert cert["box_index"] == ["13", "13"]
         assert report["outputs"]["check"]["feasible"] is True
 
         xbar = write_json(tmp_path / "xbar.json", cert["point"])
@@ -594,6 +611,37 @@ class TestCertifyAndCheck:
         code, report, _ = run(capsys, ["certify", "--system", str(out), "--point", pt, "--delta", "paper"])
         assert code == 1
         assert "n <= 3" in report["outputs"]["error"]
+
+    def test_delta_paper_past_the_digit_limit_round_trips(self, capsys, tmp_path):
+        """The unit box in three variables with x1^4 - 1 <= 0: the paper delta
+        and the cell index both pass 4300 digits, the report writes them as
+        strings, and check accepts delta_used back."""
+        xs = Polynomial.variables(3)
+        rows = [(-x, LE0) for x in xs] + [(x - 1, LE0) for x in xs] + [(xs[0] ** 4 - 1, LE0)]
+        path = write_json(tmp_path / "system.json", PolySystem(3, rows).to_json())
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(1, 2)] * 3))
+        code, report, err = run(capsys, ["certify", "--system", path, "--point", pt, "--delta", "paper"])
+        assert code == 0, err
+        cert = report["outputs"]["certificate"]
+        assert len(cert["delta_used"]) > 4300 and min(map(len, cert["box_index"])) > 4300
+        assert report["outputs"]["check"]["feasible"] is True
+        xbar = write_json(tmp_path / "xbar.json", cert["point"])
+        code, report, err = run(capsys, ["check", "--system", path, "--delta", cert["delta_used"], "--point", xbar])
+        assert code == 0, err
+        assert report["inputs"]["delta"] == cert["delta_used"]
+        assert report["outputs"]["verdict"]["feasible"] is True
+
+    def test_bounds_delta_feeds_check_and_certify(self, capsys, tmp_path):
+        code, report, _ = run(capsys, ["bounds", "--n", "3", "--m", "6", "--ell", "1", "--d", "4", "--H", "10"])
+        delta = report["outputs"]["bounds"]["delta"]
+        assert code == 0 and len(delta) == 5859
+        path = unit_box_with_disc(tmp_path)
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)]))
+        for sub in ("certify", "check"):
+            code, report, err = run(capsys, [sub, "--system", path, "--point", pt, "--delta", delta])
+            assert code == 0, err
+            assert report["inputs"]["delta"] == delta
+        assert report["outputs"]["verdict"]["feasible"] is True
 
     def test_non_integer_delta_is_usage_error(self, capsys, tmp_path):
         path = unit_box_with_disc(tmp_path)
@@ -945,6 +993,17 @@ class TestFlagsAndFiles:
         assert code == 2
         assert report is None
         assert "--delta" in err
+
+    @pytest.mark.parametrize("delta, reason", [("9" * 80000, "exceeds 262144 bits"), ("1e5", "ASCII digits")])
+    def test_bad_delta_is_echoed_in_at_most_40_characters(self, capsys, tmp_path, delta, reason):
+        path = unit_box_with_disc(tmp_path)
+        pt = write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)]))
+        code, report, err = run(capsys, ["check", "--system", path, "--point", pt, "--delta", delta])
+        assert code == 2
+        assert report is None
+        assert reason in err
+        echoed = err.split("value ", 1)[1].split(": ", 1)[0]
+        assert len(echoed) <= 40 + 2  # with its quotes
 
     def test_zero_denominator_flag_is_usage_error(self, capsys, tmp_path):
         path = unit_box_with_disc(tmp_path)

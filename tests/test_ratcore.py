@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycert import ratcore
@@ -31,6 +31,7 @@ from polycert.ratcore import (
     json_chunks,
     json_text,
     lift,
+    parse_int,
     parse_rat,
     precision_cap,
     refine_dyadic,
@@ -100,8 +101,83 @@ class TestRationalCodec:
         assert parse_rat(f"{text}/7") == Fraction(x, 7)
 
     def test_only_integer_literals_take_the_long_path(self):
-        with pytest.raises(ValueError, match="limit"):
+        with pytest.raises(ValueError, match='expected "num/den"'):
             parse_rat("1." + "0" * 5000)
+
+
+# Digit strings of 1 to about 8000 digits, leading zeros included: a short
+# block repeated, so that forms past the 4300-digit int-to-str limit are cheap.
+digit_strings = st.builds(
+    lambda block, times: block * times,
+    st.text(alphabet="0123456789", min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=1000),
+)
+blanks = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n "])
+REFUSED = ["1e5", "0.5", "1_000", "\u0661", "1/-2", "", "  ", "-", "1/", "/2", "+-1", "1 /2", "0x10", "inf", "nan"]
+
+
+def exact_int(sign: str, digits: str) -> int:
+    """The value of a digit string by Decimal, which no digit limit covers."""
+    return int(decimal.Decimal(sign + digits))
+
+
+class TestLiteralGrammar:
+    """parse_rat reads "[+-]digits" and "[+-]digits/digits" and nothing else;
+    parse_int reads the first form only."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blanks, st.sampled_from(["", "+", "-"]), digit_strings, st.none() | digit_strings, blanks)
+    @example("", "-", "000" + "7" * 5000, "9" * 4400, " ")
+    @example("\t", "+", "1" * 4301, None, "")
+    def test_documented_forms_read_exactly(self, before, sign, num, den, after):
+        text = before + sign + num + ("" if den is None else "/" + den) + after
+        want_num = exact_int(sign, num)
+        if den is None:
+            assert parse_rat(text) == want_num
+            assert parse_int(text) == want_num
+            return
+        want_den = exact_int("", den)
+        if want_den == 0:
+            with pytest.raises(ZeroDivisionError):
+                parse_rat(text)
+        else:
+            assert parse_rat(text) == Fraction(want_num, want_den)
+        with pytest.raises(ValueError, match="not a fraction"):
+            parse_int(text)
+
+    @pytest.mark.parametrize("text", REFUSED)
+    def test_other_forms_are_refused(self, text):
+        with pytest.raises(ValueError, match='expected "num/den"'):
+            parse_rat(text)
+        with pytest.raises(ValueError, match="expected"):
+            parse_int(text)
+
+    def test_parse_int_refuses_a_fraction_even_when_whole(self):
+        with pytest.raises(ValueError, match="not a fraction"):
+            parse_int("10/2")
+
+    def test_parse_int_shares_the_cap(self):
+        largest = 2 ** MAX_PARSED_BITS - 1
+        assert parse_int(format_int(-largest)) == -largest
+        with pytest.raises(ValueError, match="bits"):
+            parse_int(format_int(largest + 1))
+
+    def test_exponent_literal_in_a_system_file_is_refused_in_a_subprocess(self, tmp_path):
+        """A 10^7-digit coefficient written as an exponent is a malformed
+        literal: verify exits 2 at once instead of building the integer."""
+        row = {"poly": {"n": 1, "terms": [{"exps": [1], "coef": "-1e10000000"}]}, "rel": "LE0", "tag": "linear"}
+        system = {"version": 1, "n": 1, "var_names": ["x1"], "constraints": [row]}
+        (tmp_path / "s.json").write_text(json.dumps(system))
+        (tmp_path / "p.json").write_text(json.dumps({"values": ["0/1"]}))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycert.cli", "verify", "--system", "s.json", "--point", "p.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert 'expected "num/den"' in proc.stderr
 
 
 json_leaves = (
@@ -431,21 +507,30 @@ class TestFieldAxioms:
 
 class TestPrecisionCap:
     def test_default_when_unset(self, monkeypatch):
+        """Half the parse cap: the last doubling whose dyadic points, with
+        denominator 2^k of k + 1 bits, parse_rat reads back."""
         monkeypatch.delenv(PRECISION_CAP_ENV, raising=False)
-        assert precision_cap(512) == 512
+        k = precision_cap()
+        assert k == MAX_PARSED_BITS // 2
+        point = Fraction(-3, 1 << k)
+        assert parse_rat(format_rat(point)) == point
+        with pytest.raises(ValueError, match="bits"):
+            parse_rat(format_rat(Fraction(-3, 1 << 2 * k)))
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(PRECISION_CAP_ENV, "64")
-        assert precision_cap(512) == 64
+        assert precision_cap() == 64
 
-    def test_refine_dyadic_doubles_while_within_cap(self):
+    def test_refine_dyadic_doubles_while_within_cap(self, monkeypatch):
+        monkeypatch.setenv(PRECISION_CAP_ENV, "100")
         tried = []
         with pytest.raises(PrecisionCapError, match="no target within 100 bits"):
-            refine_dyadic(tried.append, 100, "target")
+            refine_dyadic(tried.append, "target")
         assert tried == [8, 16, 32, 64]
 
-    def test_refine_dyadic_returns_first_hit(self):
-        assert refine_dyadic(lambda k: k if k >= 32 else None, 1 << 16, "target") == 32
+    def test_refine_dyadic_returns_first_hit(self, monkeypatch):
+        monkeypatch.setenv(PRECISION_CAP_ENV, str(1 << 16))
+        assert refine_dyadic(lambda k: k if k >= 32 else None, "target") == 32
 
 
 def _bracket_sign(x: AlgebraicElement) -> int:

@@ -39,9 +39,9 @@ def bench():
 
 
 DIGESTS = {
-    "cnf-scale": "abb135cdbd1c717e9e6c3f5cd6a7f1b1f03b9636a6129e46cf666963a0d79687",
+    "cnf-scale": "994e73e8661c2b7006e94f75d2f74987ea5d03efe23f6d223f18b0f7f1d00090",
     "algebraic": "e86744d27103bd7deb4133a260037ecdbeb772f074114dc4ac8ef5c1a2294ac5",
-    "desk-solvers": "5bf76647c8e3c70c107661b19a5a41c55a8788d99cb6fec40216fa5eb75e9fbe",
+    "desk-solvers": "f4c33d88d66ac56c4c124ea8c4c31a7a5de366d77fafe23e7db382ca98516f6a",
 }
 
 
