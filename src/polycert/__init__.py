@@ -36,7 +36,6 @@ from .systems import (
     LE0,
     PolySystem,
     Verdict,
-    infeasibility,
     point_from_json,
     point_to_json,
     relax,
@@ -73,7 +72,6 @@ from .separable import SeparableCubic, SolveResult, solve_separable
 from .rays import (
     RayClass,
     classify_ray,
-    cubic_growth_direction,
     quartic_counterexample,
     rationalize_unbounded_ray,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "build_unbounded_instance",
     "check_certificate",
     "classify_ray",
-    "cubic_growth_direction",
     "delta_bound",
     "encoding_size",
     "encoding_size_vec",
@@ -121,7 +118,6 @@ __all__ = [
     "find_y_hat",
     "format_rat",
     "grid_certificate",
-    "infeasibility",
     "linear_rows",
     "lipschitz_constant",
     "parse_dimacs",

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import RatLike, format_int
-
-MAX_DELTA_BITS = 1 << 20
+from .ratcore import MAX_PARSED_BITS, RatLike, format_int
 
 
 def lipschitz_constant(n: int, d: int, H: RatLike, M: RatLike) -> Fraction:
@@ -43,23 +41,23 @@ def _one_over_eps(n: int, m: int, d: int, H: int, loose: bool) -> Fraction:
 
     With 2^(4-n/2) = 2^q2 * sqrt(2)^r2, the exponent E = n*2^n*d^n is even
     for n >= 1, so the value is the rational (2^q2 * C)^E * 2^(r2*E/2).
-    Shapes whose value would pass MAX_DELTA_BITS bits are refused before
-    the number is built.
+    Shapes whose value would pass MAX_PARSED_BITS bits, past what `--delta`
+    reads back, are refused before the number is built.
     """
     if n < 2 or m < 1 or H < 1:
         raise ValueError("need n >= 2, m >= 1, H >= 1")
     if d < 2 or d % 2 != 0:
         raise ValueError("degree bound d must be an even integer >= 2")
-    if n * d.bit_length() >= MAX_DELTA_BITS.bit_length():  # E >= 2^(n bitlen(d)) is past the cap
-        raise ValueError(f"delta for this shape has more than {MAX_DELTA_BITS} bits")
+    if n * d.bit_length() >= MAX_PARSED_BITS.bit_length():  # E >= 2^(n bitlen(d)) is past the cap
+        raise ValueError(f"delta for this shape has more than {MAX_PARSED_BITS} bits")
     C = max(H, 2 * n + 2 * m) * d ** n
     E = n * 2 ** n * d ** n
     q2, r2 = divmod(8 - n, 2)  # 2^(4-n/2) = 2^q2 * sqrt(2)^r2
     if loose and r2:
         q2, r2 = q2 + 1, 0
     bits = E * (q2 + C.bit_length()) + r2 * E // 2  # upper bound on the bit length
-    if bits > MAX_DELTA_BITS:
-        raise ValueError(f"delta for this shape has about {bits} bits, past the cap of {MAX_DELTA_BITS}")
+    if bits > MAX_PARSED_BITS:
+        raise ValueError(f"delta for this shape has about {bits} bits, past the cap of {MAX_PARSED_BITS}")
     return (Fraction(2) ** q2 * C) ** E * 2 ** (r2 * E // 2)
 
 

@@ -2,8 +2,8 @@
 
 Polyhedra arrive as lists of rows (a, b) meaning a.x <= b.  Everything here
 is exact.  `Simplex` answers linear programs over the rows with integer
-pivots; vertex enumeration solves every n-subset of rows and is meant for
-n <= 3 at desk scale.
+pivots, and every polyhedral question is put to it: vertices are the
+optimal points of linear programs, for n in {1, 2}.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .systems import EQ0, PolySystem
@@ -37,24 +36,6 @@ def linear_rows(sys_: PolySystem) -> list[Row]:
     return rows
 
 
-def solve_square(A: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve A x = b exactly for square A; None when A is singular."""
-    n = len(A)
-    M = [list(map(Fraction, row)) + [Fraction(rhs)] for row, rhs in zip(A, b)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col]), None)
-        if pivot is None:
-            return None
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
 def dot(a: Sequence, x: Sequence):
     """a.x, exact; entries may be rational or lie in one algebraic field."""
     return sum(ai * xi for ai, xi in zip(a, x))
@@ -62,20 +43,6 @@ def dot(a: Sequence, x: Sequence):
 
 def satisfies(rows: Sequence[Row], x: Sequence[Fraction]) -> bool:
     return all(dot(row, x) <= b for row, b in rows)
-
-
-def enumerate_vertices(rows: Sequence[Row], n: int) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x : rows}, lex-sorted, by solving n-subsets of tight rows."""
-    if n < 1 or n > 3:
-        raise ValueError("vertex enumeration supported for 1 <= n <= 3")
-    seen: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(rows)), n):
-        A = [rows[i][0] for i in subset]
-        b = [rows[i][1] for i in subset]
-        x = solve_square(A, b)
-        if x is not None and satisfies(rows, x):
-            seen.add(tuple(x))
-    return sorted(seen)
 
 
 @dataclass(frozen=True)
@@ -254,6 +221,28 @@ class Simplex:
                 raise ValueError("no lexicographic minimum: the polyhedron is unbounded below")
             fixed.update(b for b, u in zip(self.cobasis, objective) if u)
         return self._point()
+
+
+def enumerate_vertices(rows: Sequence[Row], n: int) -> list[tuple[Fraction, ...]]:
+    """All vertices of {x : rows}, lex-sorted, as optimal points of `Simplex`.
+
+    n = 1: the least and the greatest x.  n = 2: each vertex ends the
+    segment where some row (a, b) with a != 0 is tight, so one LP per such
+    row, over the rows plus -a.x <= -b, is maximized along (-a2, a1) and
+    along (a2, -a1).  An unbounded or infeasible end adds no vertex."""
+    if n == 1:
+        lp = Simplex(rows, 1)
+        ends = [lp.maximize(c) for c in signed_units(1)]
+    elif n == 2:
+        ends = []
+        for a, b in rows:
+            if not any(a):
+                continue
+            lp = Simplex([*rows, ((-a[0], -a[1]), -b)], 2)
+            ends += [lp.maximize((-a[1], a[0])), lp.maximize((a[1], -a[0]))]
+    else:
+        raise ValueError("vertex enumeration supported for n in {1, 2}")
+    return sorted({end.point for end in ends if end.status == "optimal"})
 
 
 def signed_units(n: int) -> list[tuple[Fraction, ...]]:

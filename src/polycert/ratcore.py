@@ -48,11 +48,16 @@ def parse_rat(text: str) -> Fraction:
     """The exact value of a "num/den" or "num" literal, num being [+-]digits
     and den digits, in ASCII, with surrounding whitespace.  Every other form
     (decimal, exponent, underscore) is refused, as is an integer past
-    MAX_PARSED_BITS bits."""
+    MAX_PARSED_BITS bits.  A zero denominator raises ZeroDivisionError
+    here: Fraction's own message would print the numerator, which fails
+    past the interpreter's int-to-str digit limit."""
     m = _INT_RATIONAL.fullmatch(text.strip())
     if m is None:
         raise ValueError('expected "num/den" or an integer in ASCII digits')
-    return Fraction(*map(_parse_big_int, m.groups("1")))
+    num, den = map(_parse_big_int, m.groups("1"))
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    return Fraction(num, den)
 
 
 def parse_int(text: str) -> int:

@@ -1,9 +1,8 @@
-"""Growth classification of polynomials along rays, cubic growth directions,
-and rationalization of cubically-unbounded rays inside polyhedra."""
+"""Growth classification of polynomials along rays, and rationalization of
+cubically-unbounded rays inside polyhedra."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -52,24 +51,6 @@ def classify_ray(f: Polynomial, x0: Sequence, v: Sequence) -> RayClass:
     if order == 0:
         return RayClass(0, BOUNDED_CONSTANT, lead)
     return RayClass(order, TO_PLUS_INFINITY if sign(lead) > 0 else TO_MINUS_INFINITY, lead)
-
-
-def cubic_growth_direction(f: Polynomial) -> list[Fraction]:
-    """First point of the integer grid {-4..4}^n (lexicographic scan) where
-    the cubic homogeneous part is nonzero, sign-corrected to make it positive.
-    A nonzero degree-3 form cannot vanish on the whole grid."""
-    f3 = f.homogeneous_component(3)
-    if f3.is_zero():
-        raise ValueError("polynomial has no cubic part")
-    n = f.num_vars
-    for grid in itertools.product(range(-4, 5), repeat=n):
-        v = [Fraction(c) for c in grid]
-        val = f3.eval(v)
-        if val > 0:
-            return v
-        if val < 0:
-            return [-c for c in v]
-    raise AssertionError("nonzero cubic form vanished on the whole grid")
 
 
 def rationalize_unbounded_ray(

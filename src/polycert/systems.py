@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .ratcore import (
     AlgebraicElement,
-    RatLike,
     Scalar,
     field_of,
     format_rat,
@@ -94,10 +93,6 @@ class PolySystem:
     # -- metadata ------------------------------------------------------------
 
     @property
-    def num_linear(self) -> int:
-        return sum(1 for c in self.constraints if c.tag == "linear")
-
-    @property
     def num_nonlinear(self) -> int:
         return sum(1 for c in self.constraints if c.tag == "nonlinear")
 
@@ -109,15 +104,6 @@ class PolySystem:
     def height(self) -> int:
         """Max integer coefficient height after clearing each row's denominators."""
         return max((c.poly.height_and_degree()[0] for c in self.constraints), default=0)
-
-    def metadata(self) -> dict:
-        return {
-            "n": self.num_vars,
-            "m": self.num_linear,
-            "ell": self.num_nonlinear,
-            "d": self.max_degree,
-            "H": self.height,
-        }
 
     def __eq__(self, other) -> bool:
         return (
@@ -232,11 +218,6 @@ def verify(sys_: PolySystem, x: Sequence[Scalar]) -> Verdict:
 
 
 verify_alg = verify  # former algebraic-only name, kept for callers
-
-
-def infeasibility(sys_: PolySystem, x: Sequence[RatLike]) -> Fraction:
-    """worst violation of x; 0 exactly when x is feasible."""
-    return verify(sys_, x).worst_violation
 
 
 def relax(sys_: PolySystem, delta: int) -> PolySystem:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from polycert.bounds import (
-    MAX_DELTA_BITS,
     BoundReport,
     bound_report,
     box_bound,
@@ -16,6 +15,7 @@ from polycert.bounds import (
     phi_bound,
 )
 from polycert.polyalg import Polynomial
+from polycert.ratcore import MAX_PARSED_BITS
 
 
 class TestLipschitz:
@@ -126,13 +126,13 @@ class TestBoundReport:
 
 
 class TestDeltaSizeCap:
-    @pytest.mark.parametrize("n, d", [(7, 2), (8, 2), (16, 2), (2, 1 << 20), (10 ** 9, 2)])
+    @pytest.mark.parametrize("n, d", [(6, 2), (7, 2), (8, 2), (3, 10), (16, 2), (2, 1 << 20), (10 ** 9, 2)])
     def test_oversized_shape_is_refused_before_delta_is_built(self, n, d):
         with pytest.raises(ValueError, match="bits"):
             delta_bound(n, 1, d, 1)
         with pytest.raises(ValueError, match="bits"):
             bound_report(n, 1, 1, d, 1)
 
-    @pytest.mark.parametrize("n, d", [(6, 2), (4, 4), (3, 4)])
+    @pytest.mark.parametrize("n, d", [(4, 4), (3, 4)])
     def test_shapes_below_the_cap_are_computed(self, n, d):
-        assert 0 < delta_bound(n, 1, d, 1).bit_length() <= MAX_DELTA_BITS
+        assert 0 < delta_bound(n, 1, d, 1).bit_length() <= MAX_PARSED_BITS

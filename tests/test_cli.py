@@ -632,16 +632,18 @@ class TestCertifyAndCheck:
         assert report["outputs"]["verdict"]["feasible"] is True
 
     def test_bounds_delta_feeds_check_and_certify(self, capsys, tmp_path):
-        code, report, _ = run(capsys, ["bounds", "--n", "3", "--m", "6", "--ell", "1", "--d", "4", "--H", "10"])
-        delta = report["outputs"]["bounds"]["delta"]
-        assert code == 0 and len(delta) == 5859
+        """Deltas up to the cap read back: (n, d) = (4, 4) gives 218,268 bits."""
         path = unit_box_with_disc(tmp_path)
         pt = write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)]))
-        for sub in ("certify", "check"):
-            code, report, err = run(capsys, [sub, "--system", path, "--point", pt, "--delta", delta])
-            assert code == 0, err
-            assert report["inputs"]["delta"] == delta
-        assert report["outputs"]["verdict"]["feasible"] is True
+        for (n, m, d, H), digits in [(("3", "6", "4", "10"), 5859), (("4", "1", "4", "1"), 65706)]:
+            code, report, _ = run(capsys, ["bounds", "--n", n, "--m", m, "--ell", "1", "--d", d, "--H", H])
+            delta = report["outputs"]["bounds"]["delta"]
+            assert code == 0 and len(delta) == digits
+            for sub in ("certify", "check"):
+                code, report, err = run(capsys, [sub, "--system", path, "--point", pt, "--delta", delta])
+                assert code == 0, err
+                assert report["inputs"]["delta"] == delta
+            assert report["outputs"]["verdict"]["feasible"] is True
 
     def test_non_integer_delta_is_usage_error(self, capsys, tmp_path):
         path = unit_box_with_disc(tmp_path)

@@ -1,4 +1,8 @@
-"""Exact low-dimensional linear algebra, the simplex and vertex enumeration."""
+"""Exact low-dimensional linear algebra, the simplex and vertex enumeration.
+
+`subset_vertices`, the row-subset vertex search that `enumerate_vertices`
+replaced, stays here as the oracle the simplex and the LP vertex search are
+checked against."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycert import separable
 from polycert.polyalg import Polynomial
 from polycert.systems import EQ0, LE0, PolySystem
 from polycert.linear import (
@@ -18,8 +23,8 @@ from polycert.linear import (
     recession_ray,
     satisfies,
     signed_units,
-    solve_square,
 )
+from polycert.separable import SeparableCubic, solve_separable
 
 F = Fraction
 
@@ -34,6 +39,35 @@ def rows_box(n, lo, hi):
         e2[i] = F(1)
         rows.append((tuple(e2), F(hi)))
     return rows
+
+
+def solve_square(A, b):
+    """Solve A x = b exactly for square A; None when A is singular."""
+    n = len(A)
+    M = [list(map(F, row)) + [F(rhs)] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col]), None)
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [v * inv for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [v - f * w for v, w in zip(M[r], M[col])]
+    return [M[r][n] for r in range(n)]
+
+
+def subset_vertices(rows, n):
+    """All vertices of {x : rows}, lex-sorted: every n-subset of rows solved
+    as equalities, each solution kept if it satisfies every row."""
+    seen = set()
+    for subset in combinations(rows, n):
+        x = solve_square([a for a, _ in subset], [b for _, b in subset])
+        if x is not None and satisfies(rows, x):
+            seen.add(tuple(x))
+    return sorted(seen)
 
 
 class TestSolveAndRank:
@@ -61,7 +95,12 @@ class TestVertices:
         assert verts[0] == (F(-1), F(-1)) and verts[-1] == (F(2), F(2))
 
     def test_cube_has_eight(self):
-        assert len(enumerate_vertices(rows_box(3, 0, 1), 3)) == 8
+        assert len(subset_vertices(rows_box(3, 0, 1), 3)) == 8
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_outside_one_and_two_dimensions_refused(self, n):
+        with pytest.raises(ValueError):
+            enumerate_vertices(rows_box(n, 0, 1), n)
 
     def test_triangle(self):
         rows = [
@@ -197,7 +236,7 @@ BIG = 10**6  # past every vertex coordinate the families below can produce
 
 
 def boxed_vertices(rows, n, bound):
-    return enumerate_vertices(rows + rows_box(n, -bound, bound), n)
+    return subset_vertices(rows + rows_box(n, -bound, bound), n)
 
 
 def oracle_max(verts, verts2, c):
@@ -274,7 +313,7 @@ class TestSimplex:
         if verts:
             assert (ray is None) == (verts == verts2)
             if ray is None:
-                assert Simplex(rows, n).lex_min() == enumerate_vertices(rows, n)[0]
+                assert Simplex(rows, n).lex_min() == subset_vertices(rows, n)[0]
 
     def test_empty_polyhedron_with_nontrivial_cone(self):
         """{x1 <= 0, x1 >= 1} in the plane is empty, yet its cone {v1 = 0}
@@ -291,3 +330,39 @@ class TestSimplex:
         lp = Simplex(rows, 3)
         assert lp.maximize((F(1), F(1), F(1))).value == 3
         assert lp.maximize((F(1), F(2), F(3))).point == (F(1), F(1), F(1))
+
+
+# -- vertices from linear programs against the subset oracle ------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lp_vertices_agree_with_subset_oracle(n, data):
+    rows = data.draw(polyhedra(n))
+    assert enumerate_vertices(rows, n) == subset_vertices(rows, n)
+
+
+def polygon_instance(m):
+    """m rows a.x <= 1 with rational a on the unit circle, half of them at
+    t = -1, -1 + 2/h, ..., 1 - 2/h (h = m // 2) of (1 - t^2, 2t) / (1 + t^2)
+    and the other half their negatives, with x^3 - 3x + 5 in each of two
+    variables: positive on the polygon, so every face is scanned."""
+    h = m // 2
+    normals = []
+    for j in range(h):
+        t = F(2 * j - h, h)
+        a = ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+        normals += [a, (-a[0], -a[1])]
+    x = Polynomial.variables(2)
+    linear = PolySystem(2, [(a1 * x[0] + a2 * x[1] - 1, LE0) for a1, a2 in normals])
+    return SeparableCubic(((1, 0, -3, 5),) * 2), linear
+
+
+@pytest.mark.parametrize("m", [10, 20, 40])
+def test_polygon_report_same_with_subset_oracle(m, monkeypatch):
+    cubic, linear = polygon_instance(m)
+    report = solve_separable(cubic, linear).to_json()
+    assert report == {"status": "infeasible"}
+    monkeypatch.setattr(separable, "enumerate_vertices", subset_vertices)
+    assert solve_separable(cubic, linear).to_json() == report

@@ -129,6 +129,7 @@ class TestLiteralGrammar:
     @given(blanks, st.sampled_from(["", "+", "-"]), digit_strings, st.none() | digit_strings, blanks)
     @example("", "-", "000" + "7" * 5000, "9" * 4400, " ")
     @example("\t", "+", "1" * 4301, None, "")
+    @example("", "", "00010000" * 538, "0", "")  # Fraction(num, 0) would print num's 4301 digits
     def test_documented_forms_read_exactly(self, before, sign, num, den, after):
         text = before + sign + num + ("" if den is None else "/" + den) + after
         want_num = exact_int(sign, num)

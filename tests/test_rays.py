@@ -14,7 +14,6 @@ from polycert.rays import (
     TO_PLUS_INFINITY,
     RayClass,
     classify_ray,
-    cubic_growth_direction,
     quartic_counterexample,
     rationalize_unbounded_ray,
 )
@@ -89,38 +88,6 @@ class TestClassify:
         assert alg["leading"]["coeffs"] == ["0/1", "1/1", "0/1"]
         rat = classify_ray(f, [F(0)] * 3, [F(5, 4), F(8, 5), F(1)]).to_json()
         assert rat["leading"] == "-9/4000"
-
-
-class TestGrowthDirection:
-    def test_pure_cubic_form(self):
-        v = cubic_growth_direction(cubic_plus_quadratic())
-        assert v == [F(-4), F(-4), F(-4)]
-        f3 = cubic_plus_quadratic().homogeneous_component(3)
-        assert f3.eval(v) > 0
-
-    def test_sign_correction(self):
-        f = Polynomial(2, {(3, 0): F(1)})
-        assert cubic_growth_direction(f) == [F(4), F(4)]
-
-    def test_no_cubic_part(self):
-        with pytest.raises(ValueError):
-            cubic_growth_direction(Polynomial(2, {(2, 0): F(1)}))
-
-    def test_returned_direction_is_positive_on_random_cubics(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            n = rng.randint(1, 3)
-            terms = {}
-            for _ in range(4):
-                e = [0] * n
-                for _ in range(3):
-                    e[rng.randrange(n)] += 1
-                terms[tuple(e)] = F(rng.randint(-5, 5))
-            f = Polynomial(n, terms)
-            if f.homogeneous_component(3).is_zero():
-                continue
-            v = cubic_growth_direction(f)
-            assert f.homogeneous_component(3).eval(v) > 0
 
 
 class TestQuarticCounterexample:

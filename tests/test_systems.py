@@ -14,7 +14,6 @@ from polycert.systems import (
     GE0,
     LE0,
     PolySystem,
-    infeasibility,
     point_from_json,
     point_to_json,
     relax,
@@ -63,13 +62,6 @@ class TestConstruction:
         assert s.constraints[0].tag == "linear"
         assert s.constraints[1].tag == "nonlinear"
 
-    def test_metadata(self):
-        s = r0_system()
-        m = s.metadata()
-        # heights are per row after reducing each coefficient: the binding
-        # row is -y2 + 1587/1000, which does not simplify
-        assert m == {"n": 2, "m": 4, "ell": 1, "d": 3, "H": 1587}
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PolySystem(2, [(P(1, {(1,): 1}), LE0)])
@@ -100,10 +92,6 @@ class TestVerify:
         s = PolySystem(1, [(P(1, {(1,): 1}), LE0)])
         v = verify(s, [Fraction(-5)])
         assert v.feasible and v.worst_violation == 0
-
-    def test_infeasibility_helper(self):
-        s = PolySystem(1, [(P(1, {(1,): 1}), LE0)])
-        assert infeasibility(s, [Fraction(7)]) == 7
 
     def test_algebraic_point_exactly_on_surface(self):
         t = AlgebraicElement.root(3, 2)
