@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ratcore import Scalar, encoding_size_vec, field_of, format_int, format_rat
-from .polyalg import Polynomial
 from .systems import EQ0, PolySystem, Verdict, relax, verify
 from .linear import Simplex, linear_rows, signed_units
 from .bounds import delta_bound, lipschitz_constant, phi_bound
@@ -137,24 +136,3 @@ def check_certificate(system: PolySystem, delta: int, x_bar: Sequence[Scalar]) -
     time in certificate and system size."""
     return verify(relax(system, int(delta)), x_bar)
 
-
-def sos_combine(
-    g_list: Sequence[Polynomial], x_bar: Sequence[Fraction]
-) -> tuple[list[int], Polynomial]:
-    """Aggregates the constraints violated at x_bar into one sum of squares:
-    J = 1-based indices with g_j(x_bar) > 0, g = sum_{j in J} g_j^2.
-    Degree at most doubles; height grows by at most a factor of len(g_list)
-    times the squared input height."""
-    if not g_list:
-        return [], Polynomial.zero(1)
-    n = g_list[0].num_vars
-    point = [Fraction(c) for c in x_bar]
-    J: list[int] = []
-    total = Polynomial.zero(n)
-    for j, g in enumerate(g_list, start=1):
-        if g.num_vars != n:
-            raise ValueError("mixed dimensions in g_list")
-        if g.eval(point) > 0:
-            J.append(j)
-            total = total + g * g
-    return J, total

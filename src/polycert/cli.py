@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .ratcore import PRECISION_CAP_ENV, PrecisionCapError, format_int, json_chunks, json_text
-from .ratcore import parse_int, parse_rat, precision_cap
+from .ratcore import format_rat, parse_int, parse_rat, precision_cap
 from .polyalg import Polynomial
 from .systems import PolySystem, point_from_json, point_to_json, verify
 from .bounds import bound_report
@@ -198,7 +198,7 @@ def _cmd_gadget(args, inputs: dict) -> tuple[int, dict]:
         parse = parse_rat if isinstance(defaults[key], Fraction) else parse_int
         params[key] = _flag(parse, f"--param {key}", val)
     inputs["name"] = args.name
-    inputs["params"] = {k: format_int(v) if isinstance(v, int) else str(v) for k, v in sorted(params.items())}
+    inputs["params"] = {k: format_int(v) if isinstance(v, int) else format_rat(v) for k, v in sorted(params.items())}
     bundle = GADGET_BUILDERS[args.name](**params)
     outputs: dict = {"notes": list(bundle.notes)}
     _emit(outputs, "system", bundle.system.to_json(), args.out)

@@ -34,7 +34,6 @@ from .polyalg import Polynomial
 
 LE0 = "LE0"
 EQ0 = "EQ0"
-GE0 = "GE0"  # accepted at construction, normalized to LE0 by negation
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,6 @@ class PolySystem:
             else:
                 poly, rel, *rest = item
                 tag = rest[0] if rest else None
-                if rel == GE0:
-                    poly, rel = -poly, LE0
                 if tag is None:
                     tag = "linear" if poly.degree() <= 1 else "nonlinear"
                 c = Constraint(poly, rel, tag)

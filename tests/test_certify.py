@@ -9,12 +9,7 @@ from polycert.bounds import delta_bound
 from polycert.polyalg import Polynomial
 from polycert.ratcore import AlgebraicElement, encoding_size_vec
 from polycert.systems import EQ0, LE0, PolySystem
-from polycert.certify import (
-    Certificate,
-    check_certificate,
-    grid_certificate,
-    sos_combine,
-)
+from polycert.certify import Certificate, check_certificate, grid_certificate
 
 F = Fraction
 
@@ -179,44 +174,6 @@ class TestRandomized:
         """Any exactly feasible point also satisfies every relaxation."""
         for delta in (1, 10, 10 ** 9):
             assert check_certificate(DISC_BOX, delta, [F(1, 2), F(0)]).feasible
-
-
-class TestSosCombine:
-    def test_one_based_indices(self):
-        g2 = Polynomial(2, {(1, 0): F(1), (0, 0): F(-10)})
-        J, total = sos_combine([DISC, g2], [F(1), F(1)])
-        assert J == [1]
-        assert total == DISC * DISC
-
-    def test_all_satisfied_gives_empty_sum(self):
-        J, total = sos_combine([DISC], [F(0), F(0)])
-        assert J == [] and total.is_zero()
-
-    def test_degree_and_height_growth(self):
-        g2 = Polynomial(2, {(2, 0): F(3), (0, 0): F(1)})
-        J, total = sos_combine([DISC, g2], [F(1), F(1)])
-        assert J == [1, 2]
-        d = max(g.degree() for g in (DISC, g2))
-        H = max(g.height_and_degree()[0] for g in (DISC, g2))
-        Ht, dt, _ = total.height_and_degree()
-        assert dt <= 2 * d
-        assert Ht <= 2 * len(J) * H * H  # cross terms at most double squares
-
-    def test_nonnegative_everywhere(self):
-        g2 = Polynomial(2, {(1, 1): F(-2), (0, 0): F(5)})
-        _, total = sos_combine([DISC, g2], [F(1), F(1)])
-        rng = random.Random(9)
-        for _ in range(30):
-            p = [F(rng.randint(-50, 50), 8), F(rng.randint(-50, 50), 8)]
-            assert total.eval(p) >= 0
-
-    def test_empty_input(self):
-        J, total = sos_combine([], [F(0)])
-        assert J == [] and total.is_zero()
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            sos_combine([DISC, Polynomial(1, {(1,): F(1)})], [F(0), F(0)])
 
 
 def test_certificate_is_frozen_dataclass():

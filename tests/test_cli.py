@@ -352,6 +352,14 @@ class TestGadget:
         star = next(lm for lm in lms if lm["name"] == "z_star")
         assert star["expect_feasible"] is False
         assert star["expect_worst"] == "1/2"
+        assert report["inputs"]["params"] == {"sigma": "1/2"}
+        # rational params echo as "num/den" even when integer-valued
+        code, report, _ = run(capsys, ["gadget", "--name", "h", "--param", "gamma=4/1"])
+        assert code == 0
+        assert report["inputs"]["params"] == {"gamma": "4/1"}
+        code, report, _ = run(capsys, ["gadget", "--name", "h"])
+        assert code == 0
+        assert report["inputs"]["params"] == {"gamma": "0/1"}
 
 
 class TestReduce:

@@ -1,18 +1,22 @@
-"""Every name a polycert module or test module imports is used in that module.
+"""Every name a polycert module or test module imports is used in that module,
+and the package itself imports nothing.
 
-A stdlib stand-in for a linter's unused-import rule.  The package's
-`__init__.py` is left out: its imports are the package's re-exports.
+A stdlib stand-in for a linter's unused-import rule, over every file in
+`src/polycert` and `tests`.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "polycert"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-MODULES += sorted(TESTS.glob("*.py"))
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -52,3 +56,15 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = imported_names(tree) - referenced_names(tree)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def test_package_import_loads_no_module():
+    """Names live in their modules: `import polycert` loads none of them, and
+    its `__version__` is the one pyproject.toml declares."""
+    code = "import sys, polycert; print(polycert.__version__); print(sorted(m for m in sys.modules if m.startswith('polycert.')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    version, loaded = out.splitlines()
+    assert loaded == "[]"
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert version == re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)

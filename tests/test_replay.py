@@ -40,7 +40,7 @@ def bench():
 
 DIGESTS = {
     "cnf-scale": "994e73e8661c2b7006e94f75d2f74987ea5d03efe23f6d223f18b0f7f1d00090",
-    "algebraic": "e86744d27103bd7deb4133a260037ecdbeb772f074114dc4ac8ef5c1a2294ac5",
+    "algebraic": "a3054921a33bc587a851f79029cc0f29c712c2c972b8be3a4766040c68cf285d",
     "desk-solvers": "f4c33d88d66ac56c4c124ea8c4c31a7a5de366d77fafe23e7db382ca98516f6a",
 }
 

@@ -11,7 +11,6 @@ from polycert.polyalg import Polynomial
 from polycert.systems import (
     Constraint,
     EQ0,
-    GE0,
     LE0,
     PolySystem,
     point_from_json,
@@ -51,12 +50,6 @@ def r0_system():
 
 
 class TestConstruction:
-    def test_ge0_normalized_to_le0(self):
-        p = P(1, {(1,): 1})
-        s = PolySystem(1, [(p, GE0)])
-        c = s.constraints[0]
-        assert c.rel == LE0 and c.poly == -p
-
     def test_tag_defaults_by_degree(self):
         s = PolySystem(1, [(P(1, {(1,): 1}), LE0), (P(1, {(2,): 1}), LE0)])
         assert s.constraints[0].tag == "linear"
@@ -69,6 +62,8 @@ class TestConstruction:
     def test_bad_rel_rejected(self):
         with pytest.raises(ValueError):
             Constraint(P(1, {(1,): 1}), "LT0", "linear")
+        with pytest.raises(ValueError):
+            PolySystem(1, [(P(1, {(1,): 1}), "GE0")])
 
 
 class TestVerify:
