@@ -95,6 +95,15 @@ def _flag(parse, name: str, raw: str):
         raise UsageError(f"bad {name} value {shown!r}: {e}") from e
 
 
+def _shape_int(text: str) -> int:
+    """A `bounds` shape value.  The report echoes it as a JSON integer, so it
+    stays under 4300 digits, the interpreter's default int-to-str limit."""
+    value = parse_int(text)
+    if abs(value) >= 10 ** 4300:
+        raise ValueError("more than 4300 digits")
+    return value
+
+
 def _delta_flag(raw) -> int:
     delta = _flag(parse_int, "--delta", raw)
     if delta < 1:
@@ -274,10 +283,9 @@ def _cmd_ray(args, inputs: dict) -> tuple[int, dict]:
 
 
 def _cmd_bounds(args, inputs: dict) -> tuple[int, dict]:
-    inputs.update(
-        {"n": args.n, "m": args.m, "ell": args.ell, "d": args.d, "H": args.H, "loose": args.loose}
-    )
-    report = bound_report(args.n, args.m, args.ell, args.d, args.H, loose=args.loose)
+    shape = {key: _flag(_shape_int, f"--{key}", getattr(args, key)) for key in ("n", "m", "ell", "d", "H")}
+    inputs.update(shape, loose=args.loose)
+    report = bound_report(**shape, loose=args.loose)
     return 0, {"bounds": report.to_json()}
 
 
@@ -344,11 +352,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ray)
 
     p = sub.add_parser("bounds", help="numeric bound report for an instance shape")
-    p.add_argument("--n", required=True, type=int, help="variables")
-    p.add_argument("--m", required=True, type=int, help="constraints")
-    p.add_argument("--ell", required=True, type=int, help="nonlinear rows")
-    p.add_argument("--d", required=True, type=int, help="max degree")
-    p.add_argument("--H", required=True, type=int, help="max height")
+    p.add_argument("--n", required=True, help="variables")
+    p.add_argument("--m", required=True, help="constraints")
+    p.add_argument("--ell", required=True, help="nonlinear rows")
+    p.add_argument("--d", required=True, help="max degree")
+    p.add_argument("--H", required=True, help="max height")
     p.add_argument("--loose", action="store_true", help="use the simplified power-of-two bound")
     p.set_defaults(handler=_cmd_bounds)
     return parser

@@ -2,8 +2,9 @@
 
 Polyhedra arrive as lists of rows (a, b) meaning a.x <= b.  Everything here
 is exact.  `Simplex` answers linear programs over the rows with integer
-pivots, and every polyhedral question is put to it: vertices are the
-optimal points of linear programs, for n in {1, 2}.
+pivots, and every polyhedral question is put to it: vertices, edges and
+boundedness are read off the optimal points of linear programs, for n in
+{1, 2}.
 """
 
 from __future__ import annotations
@@ -57,9 +58,8 @@ class LPResult:
 
 def _integer_row(a: Sequence[Fraction], b: Fraction) -> list[int]:
     """a and b times the least common multiple of their denominators,
-    divided by the gcd of the results: the same half-space over Z."""
-    a = [Fraction(v) for v in a]
-    b = Fraction(b)
+    divided by the gcd of the results: the same half-space over Z.  The
+    entries may be ints or Fractions."""
     scale = math.lcm(b.denominator, *(v.denominator for v in a))
     row = [v.numerator * (scale // v.denominator) for v in a]
     row.append(b.numerator * (scale // b.denominator))
@@ -223,26 +223,38 @@ class Simplex:
         return self._point()
 
 
-def enumerate_vertices(rows: Sequence[Row], n: int) -> list[tuple[Fraction, ...]]:
-    """All vertices of {x : rows}, lex-sorted, as optimal points of `Simplex`.
+def enumerate_vertices(rows: Sequence[Row], n: int) -> tuple[list[tuple[Fraction, ...]], list[tuple]]:
+    """(vertices, edges) of the polytope {x : rows}: the vertices lex-sorted
+    and the edges as sorted vertex pairs, all optimal points of `Simplex`.
 
-    n = 1: the least and the greatest x.  n = 2: each vertex ends the
-    segment where some row (a, b) with a != 0 is tight, so one LP per such
-    row, over the rows plus -a.x <= -b, is maximized along (-a2, a1) and
-    along (a2, -a1).  An unbounded or infeasible end adds no vertex."""
+    Each row is scaled to integers once.  n = 1: the least and the greatest
+    x, and no edges.  n = 2: each vertex ends the segment where some row
+    (a, b) with a != 0 is tight, so one LP per such row, over the rows plus
+    -a.x <= -b, is maximized along (-a2, a1) and along (a2, -a1).  Two
+    distinct ends are that row's edge; no vertex lies inside an edge, so
+    the edges are these pairs in row order, without repeats.  An empty
+    polyhedron gives no vertices.  An unbounded end, or a feasible system
+    with no row a != 0, means the polyhedron is unbounded, and raises."""
+    rows = [(tuple(r[:-1]), r[-1]) for r in (_integer_row(a, b) for a, b in rows)]
     if n == 1:
         lp = Simplex(rows, 1)
-        ends = [lp.maximize(c) for c in signed_units(1)]
+        pairs = [[lp.maximize(c) for c in signed_units(1)]]
     elif n == 2:
-        ends = []
+        pairs = []
         for a, b in rows:
             if not any(a):
                 continue
             lp = Simplex([*rows, ((-a[0], -a[1]), -b)], 2)
-            ends += [lp.maximize((-a[1], a[0])), lp.maximize((a[1], -a[0]))]
+            pairs.append([lp.maximize((-a[1], a[0])), lp.maximize((a[1], -a[0]))])
     else:
         raise ValueError("vertex enumeration supported for n in {1, 2}")
-    return sorted({end.point for end in ends if end.status == "optimal"})
+    if any(end.status == "unbounded" for pair in pairs for end in pair) or (not pairs and all(b >= 0 for _, b in rows)):
+        raise ValueError("polytope is unbounded; bound it explicitly (ray classification lives in the rays module)")
+    # both ends of one LP are optimal or both infeasible
+    segments = dict.fromkeys(tuple(sorted((p.point, q.point))) for p, q in pairs if p.status == "optimal")
+    vertices = sorted({v for segment in segments for v in segment})
+    edges = [segment for segment in segments if segment[0] != segment[1]] if n == 2 else []
+    return vertices, edges
 
 
 def signed_units(n: int) -> list[tuple[Fraction, ...]]:

@@ -26,6 +26,7 @@ denominators (1.259 -> 1259/1000, etc.).
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,24 +69,27 @@ class CnfFormula:
         )
 
 
-Assignment = tuple  # booleans b_1..b_n
+_DIMACS_INTS = re.compile(r"[+-]?[0-9]+(?:\s+[+-]?[0-9]+)*")
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """Parse DIMACS CNF with exactly-3-literal clauses; comments skipped."""
+    """Parse DIMACS CNF with exactly-3-literal clauses; comments skipped.
+    Every number is [+-]digits in ASCII, the integer grammar of parse_int."""
     num_vars = None
     tokens: list[int] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
+            if len(parts) < 4 or parts[1] != "cnf" or not _DIMACS_INTS.fullmatch(f"{parts[2]} {parts[3]}"):
                 raise ValueError(f"bad DIMACS header: {line!r}")
             num_vars = int(parts[2])
             continue
-        tokens.extend(int(t) for t in line.split())
+        if not _DIMACS_INTS.fullmatch(line):
+            raise ValueError(f"line {number}: expected integers in ASCII digits")
+        tokens.extend(map(int, line.split()))
     clauses: list[tuple[int, int, int]] = []
     cur: list[int] = []
     for t in tokens:

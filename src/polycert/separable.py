@@ -36,7 +36,7 @@ from .ratcore import (
 )
 from .polyalg import Polynomial, uni_derivative, uni_eval
 from .systems import PolySystem
-from .linear import dot, enumerate_vertices, linear_rows, recession_ray, satisfies
+from .linear import enumerate_vertices, linear_rows, satisfies
 
 
 @dataclass(frozen=True)
@@ -145,25 +145,6 @@ def _result_point(point: list[Fraction]) -> SolveResult:
     return SolveResult("point", list(point), size_bits=encoding_size_vec(point))
 
 
-def _edges_of(rows, verts: list[tuple[Fraction, ...]]):
-    """Edges of a 2-D polytope as vertex pairs, from shared active rows."""
-    seen = set()
-    edges = []
-    for a, b in rows:
-        active = [v for v in verts if dot(a, v) == b]
-        if len(active) < 2:
-            continue
-        active.sort()
-        for v0, v1 in zip(active, active[1:]):
-            if v0 == v1:
-                continue
-            key = (v0, v1)
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
-    return edges
-
-
 def _derivative_roots(p: list[Fraction]) -> list:
     """Real roots of p', exact and ascending: a root is a Fraction, or an
     element of Q(sqrt k) when the discriminant num/den is not a rational
@@ -207,12 +188,7 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
     if linear.num_nonlinear:
         raise ValueError("constraint system must be purely linear")
     rows = linear_rows(linear)
-    ray = recession_ray(rows, n)
-    if ray is not None:
-        raise ValueError(
-            "polytope is unbounded; bound it explicitly (ray classification lives in the rays module)"
-        )
-    verts = enumerate_vertices(rows, n)
+    verts, edges = enumerate_vertices(rows, n)
     if not verts:
         return SolveResult("infeasible", note="empty polytope")
     g = sc.polynomial()
@@ -221,25 +197,24 @@ def solve_separable(sc: SeparableCubic, linear: PolySystem) -> SolveResult:
         if g.eval(list(v)) <= 0:
             return _result_point(list(v))
 
-    if n == 2:
-        for v0, v1 in _edges_of(rows, verts):
-            direction = [b - a for a, b in zip(v0, v1)]
-            p = g.restrict_to_ray(list(v0), direction)
-            for t_star in _derivative_roots(p):
-                if not (sign(t_star) > 0 and sign(t_star - 1) < 0):
-                    continue
-                s = sign(uni_eval(p, t_star))
-                if isinstance(t_star, Fraction) and s <= 0:
-                    return _result_point([a + t_star * (b - a) for a, b in zip(v0, v1)])
-                if s < 0:
+    for v0, v1 in edges:
+        direction = [b - a for a, b in zip(v0, v1)]
+        p = g.restrict_to_ray(list(v0), direction)
+        for t_star in _derivative_roots(p):
+            if not (sign(t_star) > 0 and sign(t_star - 1) < 0):
+                continue
+            s = sign(uni_eval(p, t_star))
+            if isinstance(t_star, Fraction) and s <= 0:
+                return _result_point([a + t_star * (b - a) for a, b in zip(v0, v1)])
+            if s < 0:
 
-                    def try_at(k: int) -> SolveResult | None:
-                        t = min(max(dyadic_floor(t_star, k), Fraction(0)), Fraction(1))
-                        if uni_eval(p, t) <= 0:
-                            return _result_point([a + t * (b - a) for a, b in zip(v0, v1)])
-                        return None
+                def try_at(k: int) -> SolveResult | None:
+                    t = min(max(dyadic_floor(t_star, k), Fraction(0)), Fraction(1))
+                    if uni_eval(p, t) <= 0:
+                        return _result_point([a + t * (b - a) for a, b in zip(v0, v1)])
+                    return None
 
-                    return refine_dyadic(try_at, "dyadic point with f <= 0 on an edge")
+                return refine_dyadic(try_at, "dyadic point with f <= 0 on an edge")
 
     # interior critical point: per coordinate, the root of f_i' where f_i'' > 0
     coords = []

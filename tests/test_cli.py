@@ -506,6 +506,19 @@ class TestReduce:
         assert code == 2
         assert report is None
 
+    @pytest.mark.parametrize(
+        "text",
+        ["p cnf 1_0 1\n1 2 3 0\n", "p cnf 3 1\n1 2 \u0663 0\n", "p cnf 30 1\n1 -2 3_0 0\n", "p cnf 3 x\n1 2 3 0\n"],
+        ids=["header-underscore", "arabic-digit", "literal-underscore", "clause-count"],
+    )
+    def test_dimacs_numbers_are_ascii_digits(self, capsys, tmp_path, text):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text, encoding="utf-8")
+        code, report, err = run(capsys, ["reduce", "--cnf", str(cnf), "--variant", "quad"])
+        assert code == 2
+        assert report is None
+        assert "bad DIMACS CNF" in err
+
     def test_bad_dimacs_is_usage_error(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 3 1\n1 2 0\n")
@@ -762,6 +775,18 @@ class TestSeparable:
         assert report["outputs"]["status"] == "infeasible"
         assert "verdict: infeasible" in err
 
+    def test_empty_polytope_with_a_line_of_recession_is_infeasible(self, capsys, tmp_path):
+        """{x1 <= 0, x1 >= 1} in the plane is empty, though every (0, t) is
+        a recession direction of its rows: empty, not unbounded."""
+        cubic = self.cubic_json(tmp_path, [(1, 0, -3, 0), (1, 0, -3, 0)])
+        x1 = Polynomial.variable(2, 0)
+        rows = [(x1, LE0), (1 - x1, LE0)]
+        strip = write_json(tmp_path / "strip.json", PolySystem(2, rows).to_json())
+        code, report, err = run(capsys, ["separable", "--system", strip, "--cubic", cubic])
+        assert code == 1
+        assert report["outputs"] == {"status": "infeasible", "note": "empty polytope"}
+        assert "verdict: infeasible" in err
+
     def test_unbounded_polytope_is_reported_not_crashed(self, capsys, tmp_path):
         cubic = self.cubic_json(tmp_path, [(1, 0, -3, 0)])
         rows = [(-Polynomial.variable(1, 0), LE0)]
@@ -979,6 +1004,24 @@ class TestBounds:
         )
         assert code == 1
         assert "bits" in report["outputs"]["error"]
+
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--H", "1_0", "ASCII digits"),
+            ("--n", " \u0663", "ASCII digits"),
+            ("--m", "1/1", "not a fraction"),
+            ("--H", "9" * 5000, "more than 4300 digits"),
+        ],
+        ids=["underscore", "arabic-digit", "fraction", "5000-digits"],
+    )
+    def test_shape_flags_are_integer_literals(self, capsys, flag, value, reason):
+        argv = {"--n": "2", "--m": "1", "--ell": "1", "--d": "2", "--H": "2", flag: value}
+        code, report, err = run(capsys, ["bounds", *(a for item in argv.items() for a in item)])
+        assert code == 2
+        assert report is None
+        assert f"bad {flag} value" in err and reason in err
+        assert len(err) < 150
 
     def test_delta_past_int_str_digit_limit_is_reported_exactly(self, capsys):
         code, report, _ = run(

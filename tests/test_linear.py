@@ -2,7 +2,8 @@
 
 `subset_vertices`, the row-subset vertex search that `enumerate_vertices`
 replaced, stays here as the oracle the simplex and the LP vertex search are
-checked against."""
+checked against; `edges_of`, the active-row scan that the LP ends replaced,
+is the oracle of the edges."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -70,6 +71,23 @@ def subset_vertices(rows, n):
     return sorted(seen)
 
 
+def edges_of(rows, verts):
+    """Edges of a 2-D polytope as sorted vertex pairs, in row order without
+    repeats: consecutive vertices on which a row is tight.  A row with a = 0
+    is tight at every vertex or at none and bounds no face, so it is skipped."""
+    seen = set()
+    edges = []
+    for a, b in rows:
+        if not any(a):
+            continue
+        active = sorted(v for v in verts if dot(a, v) == b)
+        for key in zip(active, active[1:]):
+            if key not in seen:
+                seen.add(key)
+                edges.append(key)
+    return edges
+
+
 class TestSolveAndRank:
     def test_solve_2x2(self):
         A = [[F(2), F(1)], [F(1), F(-1)]]
@@ -82,16 +100,17 @@ class TestSolveAndRank:
 
 class TestVertices:
     def test_unit_square(self):
-        verts = enumerate_vertices(rows_box(2, 0, 1), 2)
+        verts, edges = enumerate_vertices(rows_box(2, 0, 1), 2)
         assert verts == [
             (F(0), F(0)),
             (F(0), F(1)),
             (F(1), F(0)),
             (F(1), F(1)),
         ]
+        assert edges == [(verts[0], verts[1]), (verts[2], verts[3]), (verts[0], verts[2]), (verts[1], verts[3])]
 
     def test_lex_order_is_canonical(self):
-        verts = enumerate_vertices(rows_box(2, -1, 2), 2)
+        verts, _ = enumerate_vertices(rows_box(2, -1, 2), 2)
         assert verts[0] == (F(-1), F(-1)) and verts[-1] == (F(2), F(2))
 
     def test_cube_has_eight(self):
@@ -108,16 +127,27 @@ class TestVertices:
             ((F(0), F(-1)), F(0)),
             ((F(1), F(1)), F(1)),
         ]
-        verts = enumerate_vertices(rows, 2)
+        verts, edges = enumerate_vertices(rows, 2)
         assert verts == [(F(0), F(0)), (F(0), F(1)), (F(1), F(0))]
+        assert edges == [(verts[0], verts[1]), (verts[0], verts[2]), (verts[1], verts[2])]
 
     def test_empty_polytope(self):
         rows = [((F(1),), F(0)), ((F(-1),), F(-1))]  # x <= 0 and x >= 1
-        assert enumerate_vertices(rows, 1) == []
+        assert enumerate_vertices(rows, 1) == ([], [])
+        # the same rows in the plane: empty, though the cone {v1 = 0} is a line
+        rows = [((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1))]
+        assert enumerate_vertices(rows, 2) == ([], [])
+
+    def test_plane_without_a_nonzero_normal(self):
+        """No row, or only rows 0 <= b: the whole plane, unless some b < 0."""
+        for rows in ([], [((F(0), F(0)), F(1))]):
+            with pytest.raises(ValueError, match="unbounded"):
+                enumerate_vertices(rows, 2)
+        assert enumerate_vertices([((F(0), F(0)), F(1)), ((F(0), F(0)), F(-1))], 2) == ([], [])
 
     def test_interval(self):
         rows = [((F(-1),), F(2)), ((F(1),), F(5))]
-        assert enumerate_vertices(rows, 1) == [(F(-2),), (F(5),)]
+        assert enumerate_vertices(rows, 1) == ([(F(-2),), (F(5),)], [])
 
 
 class TestRecession:
@@ -339,8 +369,31 @@ class TestSimplex:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_lp_vertices_agree_with_subset_oracle(n, data):
+    """Vertices against the subset oracle and edges (none for n = 1) against
+    the active-row scan, order included.  An unbounded draw, whose vertices
+    cut to |x_i| <= BIG move when the cut doubles, raises."""
     rows = data.draw(polyhedra(n))
-    assert enumerate_vertices(rows, n) == subset_vertices(rows, n)
+    if boxed_vertices(rows, n, BIG) != boxed_vertices(rows, n, 2 * BIG):
+        with pytest.raises(ValueError, match="unbounded"):
+            enumerate_vertices(rows, n)
+        return
+    verts = subset_vertices(rows, n)
+    assert enumerate_vertices(rows, n) == (verts, edges_of(rows, verts) if n == 2 else [])
+
+
+def outcome(rows, n):
+    """enumerate_vertices' answer, or the message it raises."""
+    try:
+        return enumerate_vertices(rows, n)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=polyhedra(2))
+def test_zero_row_changes_no_vertex_or_edge(rows):
+    """0.x <= 0 holds and is tight everywhere but bounds no face."""
+    assert outcome(rows + [((F(0), F(0)), F(0))], 2) == outcome(rows, 2)
 
 
 def polygon_instance(m):
@@ -364,5 +417,10 @@ def test_polygon_report_same_with_subset_oracle(m, monkeypatch):
     cubic, linear = polygon_instance(m)
     report = solve_separable(cubic, linear).to_json()
     assert report == {"status": "infeasible"}
-    monkeypatch.setattr(separable, "enumerate_vertices", subset_vertices)
+
+    def oracle(rows, n):
+        verts = subset_vertices(rows, n)
+        return verts, edges_of(rows, verts)
+
+    monkeypatch.setattr(separable, "enumerate_vertices", oracle)
     assert solve_separable(cubic, linear).to_json() == report

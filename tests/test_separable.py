@@ -228,6 +228,16 @@ class TestSolver:
         r = solve_separable(cubic((1, 0, 0, -2)), box([(2, 1)]))
         assert r.status == "infeasible" and r.note == "empty polytope"
 
+    def test_zero_row_is_no_face(self):
+        """A linear row 0 <= 0 (no terms) is tight at every point but bounds
+        no face, so no chord of the box is scanned as an edge."""
+        sc = cubic((-2, 9, 8, -89), (-1, 5, 2, 88))
+        plain = box([(-5, 5), (-5, 5)])
+        zero_row = (Polynomial.zero(2), LE0, "linear")
+        r = solve_separable(sc, PolySystem(2, [*plain.constraints, zero_row]))
+        assert r == solve_separable(sc, plain)
+        assert r.point == [F(-101, 256), F(-49, 256)]
+
     def test_unbounded_rejected(self):
         only_lower = PolySystem(1, [(Polynomial(1, {(1,): F(-1)}), LE0)])
         with pytest.raises(ValueError, match="unbounded"):
