@@ -56,15 +56,15 @@ class LPResult:
     point: tuple[Fraction, ...] | None = None
 
 
-def _integer_row(a: Sequence[Fraction], b: Fraction) -> list[int]:
+def integer_row(a: Sequence[Fraction], b: Fraction) -> tuple[tuple[int, ...], int]:
     """a and b times the least common multiple of their denominators,
-    divided by the gcd of the results: the same half-space over Z.  The
-    entries may be ints or Fractions."""
+    divided by the gcd of the results: the same half-space a.x <= b over Z,
+    primitive.  The entries may be ints or Fractions."""
     scale = math.lcm(b.denominator, *(v.denominator for v in a))
     row = [v.numerator * (scale // v.denominator) for v in a]
     row.append(b.numerator * (scale // b.denominator))
-    g = math.gcd(*row)
-    return [v // g for v in row] if g > 1 else row
+    g = math.gcd(*row) or 1
+    return tuple(v // g for v in row[:-1]), row[-1] // g
 
 
 class Simplex:
@@ -83,13 +83,16 @@ class Simplex:
     rule (smallest entering id, ties in the ratio test to the smallest
     leaving id), so the method terminates on degenerate polyhedra.
     Successive `maximize` and `lex_min` calls start from the last optimal
-    basis.
+    basis.  The rows are ints: the code that builds an LP scales them once
+    with `integer_row`.
     """
 
-    def __init__(self, rows: Sequence[Row], n: int):
+    def __init__(self, rows: Sequence[tuple[Sequence[int], int]], n: int):
         self.n = n
         self.d = 1
-        self.T = [_integer_row(a, b) for a, b in rows]
+        self.T = [[*a, b] for a, b in rows]
+        if not all(type(u) is int for t in self.T for u in t):  # a pivot's // would floor a Fraction
+            raise TypeError("Simplex takes integer rows; scale them with integer_row")
         self.basis = list(range(n, n + len(self.T)))
         self.cobasis = list(range(n))
         for s in range(n):  # x_s enters through the row that blocks it first, either way
@@ -149,7 +152,7 @@ class Simplex:
 
     def _objective(self, c: Sequence[Fraction]) -> list[int]:
         """The row of c.x in the current tableau, c scaled to integers."""
-        c = _integer_row(c, 0)[:-1]
+        c = integer_row(c, 0)[0]
         d = self.d
         objective = [0] * (len(self.cobasis) + 1)
         for i, b in enumerate(self.basis):
@@ -235,7 +238,7 @@ def enumerate_vertices(rows: Sequence[Row], n: int) -> tuple[list[tuple[Fraction
     the edges are these pairs in row order, without repeats.  An empty
     polyhedron gives no vertices.  An unbounded end, or a feasible system
     with no row a != 0, means the polyhedron is unbounded, and raises."""
-    rows = [(tuple(r[:-1]), r[-1]) for r in (_integer_row(a, b) for a, b in rows)]
+    rows = [integer_row(a, b) for a, b in rows]
     if n == 1:
         lp = Simplex(rows, 1)
         pairs = [[lp.maximize(c) for c in signed_units(1)]]
@@ -257,9 +260,9 @@ def enumerate_vertices(rows: Sequence[Row], n: int) -> tuple[list[tuple[Fraction
     return vertices, edges
 
 
-def signed_units(n: int) -> list[tuple[Fraction, ...]]:
-    """e_1, -e_1, e_2, -e_2, ..., e_n, -e_n."""
-    return [tuple(Fraction(s * (j == i)) for j in range(n)) for i in range(n) for s in (1, -1)]
+def signed_units(n: int) -> list[tuple[int, ...]]:
+    """e_1, -e_1, e_2, -e_2, ..., e_n, -e_n, over Z."""
+    return [tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (1, -1)]
 
 
 def recession_ray(rows: Sequence[Row], n: int) -> tuple[Fraction, ...] | None:
@@ -272,7 +275,7 @@ def recession_ray(rows: Sequence[Row], n: int) -> tuple[Fraction, ...] | None:
     if n < 1 or n > 3:
         raise ValueError("recession ray search supported for 1 <= n <= 3")
     units = signed_units(n)
-    lp = Simplex([(a, Fraction(0)) for a, _ in rows] + [(e, Fraction(1)) for e in units], n)
+    lp = Simplex([integer_row(a, 0) for a, _ in rows] + [(e, 1) for e in units], n)
     for c in units:
         best = lp.maximize(c)
         if best.value > 0:

@@ -76,6 +76,8 @@ def rationalize_unbounded_ray(
     f3 = f.homogeneous_component(3)
     rows = None
     if polytope is not None:
+        if polytope.num_nonlinear:
+            raise ValueError("polytope must be purely linear")
         rows = linear_rows(polytope)
         for a, b in rows:
             if sign(dot(a, x_bar) - b) > 0:

@@ -1,15 +1,20 @@
 """Grid-cell vertex certificates for relaxed systems."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polycert.bounds import delta_bound
+from polycert.bounds import delta_bound, lipschitz_constant, phi_bound
 from polycert.polyalg import Polynomial
 from polycert.ratcore import AlgebraicElement, encoding_size_vec
 from polycert.systems import EQ0, LE0, PolySystem
+from polycert.linear import Simplex, dot, enumerate_vertices, integer_row, linear_rows, signed_units
 from polycert.certify import Certificate, check_certificate, grid_certificate
+from test_linear import polyhedra, rows_box, small
 
 F = Fraction
 
@@ -70,6 +75,14 @@ class TestWorkedExample:
         c = grid_certificate(DISC_BOX, 10, X_TILDE)
         assert check_certificate(DISC_BOX, 10, list(c.point)).feasible
         assert not check_certificate(DISC_BOX, 10, [F(1), F(1)]).feasible
+
+    def test_row_through_the_cell_moves_the_vertex(self):
+        """x1 + x2 >= 2/3 cuts the cell [13/40, 14/40]^2 off its lower corner;
+        the box rows hold on the whole cell."""
+        cut = Polynomial(2, {(1, 0): F(-1), (0, 1): F(-1), (0, 0): F(2, 3)})
+        sys_ = PolySystem(2, list(DISC_BOX.constraints) + [(cut, LE0, "linear")])
+        c = grid_certificate(sys_, 10, X_TILDE, M=F(1), L=F(4))
+        assert c.box_index == (13, 13) and c.point == (F(13, 40), F(41, 120))
 
     def test_json_round_trip_values(self):
         c = grid_certificate(DISC_BOX, 10, X_TILDE, M=F(1), L=F(4))
@@ -194,3 +207,57 @@ class TestAlgebraicPoints:
     def test_grid_certificate_refuses_an_irrational_seed(self):
         with pytest.raises(ValueError, match="rational"):
             grid_certificate(self.sqrt2_system(), 10, [AlgebraicElement.root(2, 2)])
+
+
+# -- the cell LP in the cell's own coordinates against the x-coordinate LP ------
+
+
+def x_cell_certificate(system, delta, x_tilde):
+    """(phi, box_index, point) as grid_certificate found them in x's own
+    coordinates: P's rows plus the cell's 2n bounds, each of about log phi
+    bits, in one Simplex, whose lex-min point is the certificate."""
+    n = system.num_vars
+    rows = [integer_row(a, b) for a, b in linear_rows(system)]
+    units = signed_units(n)
+    lp = Simplex(rows, n)
+    M = max([lp.maximize(c).value for c in units] + [F(1)])
+    g_list = [c.poly for c in system.constraints if c.tag == "nonlinear"]
+    d = max(g.degree() for g in g_list)
+    H = max(g.height_and_degree()[0] for g in g_list)
+    phi = phi_bound(lipschitz_constant(n, max(d, 1), max(H, 1), M), M, len(g_list), delta)
+    width = F(M, phi)
+    box_index, cell_rows = [], list(rows)
+    for i, xi in enumerate(x_tilde):
+        j = max(-phi, min(phi - 1, math.floor(xi * phi / M)))
+        box_index.append(j)
+        cell_rows.append(integer_row(units[2 * i + 1], -width * j))
+        cell_rows.append(integer_row(units[2 * i], width * (j + 1)))
+    return phi, tuple(box_index), Simplex(cell_rows, n).lex_min()
+
+
+@st.composite
+def certify_instances(draw):
+    """A polyhedra(2) draw cut to a box, each row moved out to hold at a
+    point p of the box, then p or a vertex as x~, one quadratic row g with
+    g(x~) < 0, and a delta of up to about 2^2000."""
+    lo, k = draw(small), draw(st.integers(0, 3))
+    p = [lo + k * draw(st.fractions(0, 1, max_denominator=6)) for _ in range(2)]
+    rows = [(a, max(b, dot(a, p))) for a, b in draw(polyhedra(2)) + rows_box(2, lo, lo + k)]
+    verts, _ = enumerate_vertices(rows, 2)
+    x_tilde = list(draw(st.sampled_from(verts + [tuple(p)])))
+    exps = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1)]
+    q = Polynomial(2, {e: F(draw(st.integers(-3, 3))) for e in exps})
+    g = q - q.eval(x_tilde) - draw(st.sampled_from([F(1), F(1, 4), F(1, 1000)]))
+    x1, x2 = Polynomial.variables(2)
+    P = [(a1 * x1 + a2 * x2 - b, LE0, "linear") for (a1, a2), b in rows]
+    bits = draw(st.integers(0, 2000))
+    delta = draw(st.integers(1 << bits, (2 << bits) - 1))
+    return PolySystem(2, P + [(g, LE0, "nonlinear")]), delta, x_tilde
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=certify_instances())
+def test_cell_coordinates_agree_with_the_x_coordinate_oracle(instance):
+    system, delta, x_tilde = instance
+    c = grid_certificate(system, delta, x_tilde)
+    assert (c.phi, c.box_index, c.point) == x_cell_certificate(system, delta, x_tilde)

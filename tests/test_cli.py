@@ -918,6 +918,21 @@ class TestRay:
         assert code == 1
         assert "base point" in report["outputs"]["error"]
 
+    def test_rationalize_refuses_a_nonlinear_polytope_row(self, capsys, tmp_path):
+        """The disc row used to be dropped: (181/128, 543/128) came back with
+        exit 0 though it leaves the disc x1^2 + x2^2 <= 1/100 at once."""
+        poly = write_json(tmp_path / "f.json", Polynomial(2, {(3, 0): F(1)}).to_json())
+        frm = write_json(tmp_path / "x.json", point_to_json([F(0), F(0)]))
+        r = AlgebraicElement.root(2, 2)
+        dr = write_json(tmp_path / "v.json", point_to_json([r, 3 * r]))
+        x1, x2 = Polynomial.variables(2)
+        rows = [(x2 - 3 * x1, LE0), (x1 ** 2 + x2 ** 2 - F(1, 100), LE0)]
+        pol = write_json(tmp_path / "P.json", PolySystem(2, rows).to_json())
+        argv = ["ray", "--poly", poly, "--from", frm, "--dir", dr, "--polytope", pol, "--rationalize", "1/10"]
+        code, report, _ = run(capsys, argv)
+        assert code == 1
+        assert "must be purely linear" in report["outputs"]["error"]
+
     def test_bad_rationalize_value_is_usage_error(self, capsys, tmp_path):
         f = Polynomial(1, {(3,): F(1)})
         poly = write_json(tmp_path / "f.json", f.to_json())

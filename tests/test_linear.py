@@ -5,6 +5,7 @@ replaced, stays here as the oracle the simplex and the LP vertex search are
 checked against; `edges_of`, the active-row scan that the LP ends replaced,
 is the oracle of the edges."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,11 +15,13 @@ from hypothesis import strategies as st
 
 from polycert import separable
 from polycert.polyalg import Polynomial
+from polycert.ratcore import sign
 from polycert.systems import EQ0, LE0, PolySystem
 from polycert.linear import (
     Simplex,
     dot,
     enumerate_vertices,
+    integer_row,
     linear_rows,
     project_to_nullspace,
     recession_ray,
@@ -317,7 +320,8 @@ class TestSimplex:
         rows = data.draw(polyhedra(n))
         verts = boxed_vertices(rows, n, BIG)
         verts2 = boxed_vertices(rows, n, 2 * BIG)
-        lp = Simplex(rows, n)
+        int_rows = [integer_row(a, b) for a, b in rows]
+        lp = Simplex(int_rows, n)
         assert lp.feasible == bool(verts)
         for c in signed_units(n) + [data.draw(st.tuples(*[small] * n))]:
             want = oracle_max(verts, verts2, c)
@@ -333,9 +337,9 @@ class TestSimplex:
         # first cut vertex where it is
         if verts[:1] != verts2[:1]:
             with pytest.raises(ValueError):
-                Simplex(rows, n).lex_min()
+                Simplex(int_rows, n).lex_min()
         else:
-            assert Simplex(rows, n).lex_min() == (verts[0] if verts else None)
+            assert Simplex(int_rows, n).lex_min() == (verts[0] if verts else None)
         ray = recession_ray(rows, n)
         assert (ray is None) == (candidate_recession_ray(rows, n) is None)
         if ray is not None:
@@ -343,23 +347,44 @@ class TestSimplex:
         if verts:
             assert (ray is None) == (verts == verts2)
             if ray is None:
-                assert Simplex(rows, n).lex_min() == subset_vertices(rows, n)[0]
+                assert Simplex(int_rows, n).lex_min() == subset_vertices(rows, n)[0]
 
     def test_empty_polyhedron_with_nontrivial_cone(self):
         """{x1 <= 0, x1 >= 1} in the plane is empty, yet its cone {v1 = 0}
         is a line: the LP answers infeasible and recession_ray a ray."""
         rows = [((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1))]
-        assert not Simplex(rows, 2).feasible
+        int_rows = [integer_row(a, b) for a, b in rows]
+        assert not Simplex(int_rows, 2).feasible
         assert recession_ray(rows, 2) is not None
-        assert Simplex(rows, 2).lex_min() is None
+        assert Simplex(int_rows, 2).lex_min() is None
 
     def test_many_rows_through_one_vertex(self):
         """Degenerate at the optimum: every row is tight at (1, 1, 1)."""
         normals = [(F(a), F(b), F(c)) for a in (1, 2) for b in (1, 3) for c in (1, 5)]
         rows = [(a, sum(a)) for a in normals] + rows_box(3, -2, 2)
-        lp = Simplex(rows, 3)
+        lp = Simplex([integer_row(a, b) for a, b in rows], 3)
         assert lp.maximize((F(1), F(1), F(1))).value == 3
         assert lp.maximize((F(1), F(2), F(3))).point == (F(1), F(1), F(1))
+
+
+    def test_fraction_entry_is_refused(self):
+        """A pivot's floor division would silently floor a Fraction."""
+        with pytest.raises(TypeError, match="integer_row"):
+            Simplex([((1, 0), 1), ((F(-1), 0), 0)], 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_row_is_primitive_and_keeps_the_half_space(n, data):
+    """Primitive integers (gcd 1 unless the row is zero) with the same sign
+    of a.x - b as the rational row at random rational points x."""
+    for a, b in data.draw(polyhedra(n)):
+        ia, ib = integer_row(a, b)
+        assert all(type(u) is int for u in (*ia, ib))
+        assert math.gcd(*ia, ib) == (1 if any(a) or b else 0)
+        x = data.draw(st.tuples(*[small] * n))
+        assert sign(dot(ia, x) - ib) == sign(dot(a, x) - b)
 
 
 # -- vertices from linear programs against the subset oracle ------------------

@@ -71,3 +71,42 @@ def test_seed_one_replay(bench, workload, tmp_path, monkeypatch):
     assert not failures
     assert len(result["calls"]) == len(plan["calls"])
     assert digest.hexdigest() == DIGESTS[workload]
+
+
+# The keys under which a report may hold a JSON integer (README, "Command
+# line"); a list's items count under the list's key.  Every other number in a
+# report is an exact "num/den" or decimal string, and none is a float.
+INTEGER_KEYS = {
+    "n", "m", "ell", "d", "H",  # bounds inputs, and an inline polynomial's n
+    "delta_bits", "phi_bits", "size_bits", "growth_order", "num_vars", "num_rows",
+    "e", "k", "exps", "violated", "timing_ms",
+}
+
+
+def numbers_off_contract(value, key=None) -> list:
+    """(key, value) for each float, and for each JSON number under a key
+    outside INTEGER_KEYS."""
+    if isinstance(value, dict):
+        return [bad for k, v in value.items() for bad in numbers_off_contract(v, k)]
+    if isinstance(value, list):
+        return [bad for v in value for bad in numbers_off_contract(v, key)]
+    if type(value) is float or (type(value) is int and key not in INTEGER_KEYS):
+        return [(key, value)]
+    return []
+
+
+def test_contract_walk_flags_floats_and_stray_integers():
+    report = {"timing_ms": 3, "outputs": {"point": {"values": ["1/2"], "e": 2}, "exps": [[0, 1]], "residual": 0.5}}
+    assert numbers_off_contract(report) == [("residual", 0.5)]
+    assert numbers_off_contract({"violated": [1], "phi": 7}) == [("phi", 7)]
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_seed_one_reports_keep_the_number_contract(bench, workload, tmp_path, monkeypatch):
+    workloads, replay, _ = bench
+    plan = workloads.build(workload, 1, tmp_path).to_json()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("POLYCERT_PRECISION_CAP", raising=False)
+    reports = [json.loads(rec["report"]) for rec in replay.replay(plan)["calls"] if rec["report"].strip()]
+    assert reports
+    assert [bad for report in reports for bad in numbers_off_contract(report)] == []
