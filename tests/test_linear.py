@@ -112,6 +112,12 @@ class TestVertices:
         ]
         assert edges == [(verts[0], verts[1]), (verts[2], verts[3]), (verts[0], verts[2]), (verts[1], verts[3])]
 
+    def test_row_tight_at_one_vertex_is_no_edge(self):
+        """x1 + x2 <= 2 touches the unit square only at (1, 1): its LP's two
+        ends coincide, and that one-point segment is not an edge."""
+        verts, edges = enumerate_vertices([*rows_box(2, 0, 1), ((F(1), F(1)), F(2))], 2)
+        assert (verts, edges) == enumerate_vertices(rows_box(2, 0, 1), 2)
+
     def test_lex_order_is_canonical(self):
         verts, _ = enumerate_vertices(rows_box(2, -1, 2), 2)
         assert verts[0] == (F(-1), F(-1)) and verts[-1] == (F(2), F(2))

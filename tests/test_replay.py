@@ -73,32 +73,69 @@ def test_seed_one_replay(bench, workload, tmp_path, monkeypatch):
     assert digest.hexdigest() == DIGESTS[workload]
 
 
-# The keys under which a report may hold a JSON integer (README, "Command
-# line"); a list's items count under the list's key.  Every other number in a
-# report is an exact "num/den" or decimal string, and none is a float.
-INTEGER_KEYS = {
-    "n", "m", "ell", "d", "H",  # bounds inputs, and an inline polynomial's n
-    "delta_bits", "phi_bits", "size_bits", "growth_order", "num_vars", "num_rows",
-    "e", "k", "exps", "violated", "timing_ms",
+# Where a report may hold a JSON integer (README, "Command line"); a list's
+# items count under the list's key.  Every other number in a report is an
+# exact "num/den" or decimal string, and none is a float.  Fixed places are
+# keyed by subcommand and path:
+INTEGER_PATHS = {
+    *(("bounds", f"inputs.{key}") for key in ("n", "m", "ell", "d", "H")),
+    ("bounds", "outputs.bounds.delta_bits"),
+    ("bounds", "outputs.bounds.phi_bits"),
+    ("certify", "outputs.certificate.size_bits"),
+    ("separable", "outputs.size_bits"),
+    ("ray", "outputs.classification.growth_order"),
+    ("reduce", "outputs.num_vars"),
+    ("reduce", "outputs.num_rows"),
+}
+# and objects that may appear anywhere by the key beside them: a point or a
+# scalar over Q[t]/(t^e - k), an inline polynomial and its terms, a verdict.
+INTEGER_BESIDE = {
+    "e": {"values", "coeffs"},
+    "k": {"values", "coeffs"},
+    "n": {"terms"},
+    "exps": {"coef"},
+    "violated": {"feasible"},
 }
 
 
-def numbers_off_contract(value, key=None) -> list:
-    """(key, value) for each float, and for each JSON number under a key
-    outside INTEGER_KEYS."""
-    if isinstance(value, dict):
-        return [bad for k, v in value.items() for bad in numbers_off_contract(v, k)]
-    if isinstance(value, list):
-        return [bad for v in value for bad in numbers_off_contract(v, key)]
-    if type(value) is float or (type(value) is int and key not in INTEGER_KEYS):
-        return [(key, value)]
-    return []
+def numbers_off_contract(report) -> list:
+    """(path, value) for each float in a report, and for each JSON integer
+    that is not at `timing_ms`, one of INTEGER_PATHS or an INTEGER_BESIDE key
+    next to its sibling."""
+    found = []
+
+    def walk(value, path, allowed):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                at = f"{path}.{key}" if path else key
+                ok = at == "timing_ms" or (report["subcommand"], at) in INTEGER_PATHS
+                walk(item, at, ok or not INTEGER_BESIDE.get(key, set()).isdisjoint(value))
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, path, allowed)
+        elif type(value) is float or (type(value) is int and not allowed):
+            found.append((path, value))
+
+    walk(report, "", False)
+    return found
 
 
 def test_contract_walk_flags_floats_and_stray_integers():
-    report = {"timing_ms": 3, "outputs": {"point": {"values": ["1/2"], "e": 2}, "exps": [[0, 1]], "residual": 0.5}}
-    assert numbers_off_contract(report) == [("residual", 0.5)]
-    assert numbers_off_contract({"violated": [1], "phi": 7}) == [("phi", 7)]
+    report = {
+        "subcommand": "reduce",
+        "timing_ms": 3,
+        "outputs": {
+            "witness": {"values": ["1/2"], "e": 2, "k": 3},
+            "objective": {"n": 2, "terms": [{"exps": [0, 1], "coef": "1/1"}]},
+        },
+    }
+    assert numbers_off_contract(report) == []
+    report["outputs"].update(residual=0.5, num_vars=4, point={"values": ["1/2"], "d": 2}, size={"n": 2})
+    assert numbers_off_contract(report) == [("outputs.residual", 0.5), ("outputs.point.d", 2), ("outputs.size.n", 2)]
+    assert numbers_off_contract({"subcommand": "check", "inputs": {"n": 2}, "outputs": {"num_vars": 4}}) == [
+        ("inputs.n", 2),
+        ("outputs.num_vars", 4),
+    ]
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
