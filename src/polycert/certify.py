@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .ratcore import Scalar, encoding_size_vec, field_of, format_int, format_rat
 from .systems import EQ0, PolySystem, Verdict, relax, verify
-from .linear import Simplex, dot, integer_row, linear_rows, signed_units
+from .linear import Simplex, cell_lex_min, integer_row, linear_rows, signed_units
 from .bounds import delta_bound, lipschitz_constant, phi_bound
 
 
@@ -81,9 +81,8 @@ def grid_certificate(
             f"x_tilde does not satisfy the exact system (worst violation {v0.worst_violation})"
         )
     rows = [integer_row(a, b) for a, b in linear_rows(system)]
-    units = signed_units(n)
     lp = Simplex(rows, n)
-    tops = [lp.maximize(c) for c in units]  # P holds x_tilde: bounded iff all have an optimum
+    tops = [lp.maximize(c) for c in signed_units(n)]  # P holds x_tilde: bounded iff all have an optimum
     if any(top.status == "unbounded" for top in tops):
         raise ValueError("polytope is unbounded")
     if M is None:
@@ -104,15 +103,9 @@ def grid_certificate(
     phi = phi_bound(L, M, ell, delta)
     width = Fraction(M, phi)
     box_index = [max(-phi, min(phi - 1, math.floor(xi * phi / M))) for xi in x_tilde]
-    lo = [width * j for j in box_index]
-    # In the cell's own coordinates y = (x - lo) / width the cell is 0 <= y <= 1
-    # and no entry carries phi; a row that holds on the whole cell is dropped.
-    cell_rows = [integer_row(a, (b - dot(a, lo)) / width) for a, b in rows]
-    cell_rows = [(a, b) for a, b in cell_rows if sum(max(u, 0) for u in a) > b]
-    y_bar = Simplex(cell_rows + [(e, max(0, *e)) for e in units], n).lex_min()
-    if y_bar is None:
+    x_bar = cell_lex_min(rows, [width * j for j in box_index], width)
+    if x_bar is None:
         raise ValueError("P intersected with the containing cell has no vertex")
-    x_bar = tuple(l + width * y for l, y in zip(lo, y_bar))  # increasing in each y: the lex-min x
     vr = check_certificate(system, delta, x_bar)
     if not vr.feasible:
         raise ValueError(
@@ -120,7 +113,7 @@ def grid_certificate(
             "M or L override too small?"
         )
     return Certificate(
-        tuple(x_bar),
+        x_bar,
         delta,
         phi,
         tuple(box_index),

@@ -262,6 +262,8 @@ def _cmd_separable(args, inputs: dict) -> tuple[int, dict]:
 
 
 def _cmd_ray(args, inputs: dict) -> tuple[int, dict]:
+    if args.polytope and args.rationalize is None:
+        raise UsageError("--polytope applies only with --rationalize")
     eps = _flag(parse_rat, "--rationalize", args.rationalize) if args.rationalize is not None else None
     f = _load(inputs, "poly", args.poly, _json(Polynomial.from_json), "polynomial")
     x0 = _load_point(inputs, "from", args.from_, f.num_vars)
@@ -347,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--from", dest="from_", required=True, help="base point JSON")
     p.add_argument("--dir", required=True, help="direction JSON")
-    p.add_argument("--polytope", help="constrain rationalization to this polyhedron")
+    p.add_argument("--polytope", help="with --rationalize: keep the point in this polyhedron, the direction in its cone")
     p.add_argument("--rationalize", metavar="EPS", help="round an algebraic ray to rationals")
     p.set_defaults(handler=_cmd_ray)
 

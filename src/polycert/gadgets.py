@@ -7,10 +7,11 @@ value are all recomputed exactly and construction fails on any mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import AlgebraicElement, Rat, check_tower_bits, format_rat, sign, squarefree_split
+from .ratcore import AlgebraicElement, Rat, check_tower_bits, format_rat, sign
 from .polyalg import Polynomial
 from .reductions import Y1_LO, Y_BAR, circle_rows, d_chain_rows, h, y_box_rows
 from .systems import EQ0, LE0, PolySystem, Verdict, point_to_json, verify
@@ -249,11 +250,9 @@ def gadget_socp(a: int, b: int, c: int, d: int) -> GadgetBundle:
         (c - x3, LE0),
         (-x0, LE0),
     ]
-    outer, inner = squarefree_split(a * a + b * b)
-    if inner == 1:
-        root = Fraction(outer)
-    else:
-        root = AlgebraicElement(2, inner, (Fraction(0), Fraction(outer)))
+    s = a * a + b * b
+    r = math.isqrt(s)
+    root = Fraction(r) if r * r == s else AlgebraicElement.root(2, s)
     point = (root, Fraction(a), Fraction(b), Fraction(c))
     landmarks = (
         Landmark(

@@ -4,7 +4,8 @@ Polyhedra arrive as lists of rows (a, b) meaning a.x <= b.  Everything here
 is exact.  `Simplex` answers linear programs over the rows with integer
 pivots, and every polyhedral question is put to it: vertices, edges and
 boundedness are read off the optimal points of linear programs, for n in
-{1, 2}.
+{1, 2}, and a polyhedron is rounded into a grid cell by the cell's
+lexicographically least point.
 """
 
 from __future__ import annotations
@@ -226,6 +227,21 @@ class Simplex:
         return self._point()
 
 
+def cell_lex_min(rows: Sequence[Row], lo: Sequence[Fraction], width: Fraction) -> tuple[Fraction, ...] | None:
+    """The lexicographically least point of {x : rows} in the closed cell
+    lo <= x <= lo + width, or None when they do not meet.
+
+    The LP is built in the cell's own coordinates y = (x - lo) / width, where
+    the cell is 0 <= y <= 1 and no entry carries width; a row that holds on
+    the whole cell is dropped.  x is increasing in each y, so the lex-min y
+    gives the lex-min x."""
+    n = len(lo)
+    cell_rows = [integer_row(a, (b - dot(a, lo)) / width) for a, b in rows]
+    cell_rows = [(a, b) for a, b in cell_rows if sum(max(u, 0) for u in a) > b]
+    y = Simplex(cell_rows + [(e, max(0, *e)) for e in signed_units(n)], n).lex_min()
+    return None if y is None else tuple(l + width * u for l, u in zip(lo, y))
+
+
 def enumerate_vertices(rows: Sequence[Row], n: int) -> tuple[list[tuple[Fraction, ...]], list[tuple]]:
     """(vertices, edges) of the polytope {x : rows}: the vertices lex-sorted
     and the edges as sorted vertex pairs, all optimal points of `Simplex`.
@@ -281,26 +297,3 @@ def recession_ray(rows: Sequence[Row], n: int) -> tuple[Fraction, ...] | None:
         if best.value > 0:
             return best.point
     return None
-
-
-def _reject(v: Sequence[Fraction], basis: Sequence[list[Fraction]]) -> list[Fraction]:
-    """v minus its projection onto the span of an orthogonal basis."""
-    out = list(map(Fraction, v))
-    for w in basis:
-        c = dot(out, w) / dot(w, w)
-        out = [a - c * b for a, b in zip(out, w)]
-    return out
-
-
-def _orthogonalize(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    out: list[list[Fraction]] = []
-    for r in rows:
-        v = _reject(r, out)
-        if any(v):
-            out.append(v)
-    return out
-
-
-def project_to_nullspace(v: Sequence[Fraction], normals: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Orthogonal projection of v onto {x : a.x = 0 for each normal a}, exact."""
-    return _reject(v, _orthogonalize(normals))

@@ -280,38 +280,6 @@ def theta_enclosure(e: int, k: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(l, 1 << bits), Fraction(l + 1, 1 << bits)
 
 
-# The largest integer squarefree_split splits: trial division then runs to
-# its cube root, about 2^19 odd divisors.
-SQUAREFREE_SPLIT_MAX = 1 << 60
-
-
-def squarefree_split(m: int) -> tuple[int, int]:
-    """m = outer^2 * inner with inner squarefree; returns (outer, inner).
-
-    Trial division stops at the cube root of what is left, which then has
-    at most two prime factors, so it is a prime square or squarefree."""
-    if m < 1:
-        raise ValueError("need a positive integer")
-    if m > SQUAREFREE_SPLIT_MAX:
-        raise ValueError("squarefree_split needs an integer of at most 2^60")
-    outer, inner = 1, 1
-    p = 2
-    mm = m
-    while p * p * p <= mm:
-        if mm % p == 0:
-            e = 0
-            while mm % p == 0:
-                mm //= p
-                e += 1
-            outer *= p ** (e // 2)
-            inner *= p ** (e % 2)
-        p += 1 if p == 2 else 2
-    r = math.isqrt(mm)
-    if r * r == mm:
-        return outer * r, inner
-    return outer, inner * mm
-
-
 PRECISION_CAP_ENV = "POLYCERT_PRECISION_CAP"
 
 

@@ -10,7 +10,7 @@ from typing import Sequence
 from .ratcore import dyadic_floor, field_of, refine_dyadic, sign
 from .polyalg import Polynomial, uni_degree
 from .systems import PolySystem, scalar_to_json
-from .linear import dot, linear_rows, project_to_nullspace, satisfies
+from .linear import cell_lex_min, dot, linear_rows
 
 TO_PLUS_INFINITY = "to_plus_infinity"
 TO_MINUS_INFINITY = "to_minus_infinity"
@@ -61,10 +61,10 @@ def rationalize_unbounded_ray(
     eps: Fraction = Fraction(1, 10),
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Rational (x, v) close to (x_bar, v_bar) keeping cubic growth to
-    +infinity: dyadic floor at doubling precision until both points are
-    within eps and f3(v) > 0 exactly; with a polytope, x must satisfy it and
-    v must stay in the recession cone (projecting onto the active rows at
-    v_bar when rounding exits, and re-checking f3 > 0)."""
+    +infinity, at doubling precision k until 2^-k <= eps and f3(v) > 0
+    exactly: x is the lexicographically least point of the polytope P in
+    x_bar's dyadic cell of width 2^-k, and v that of P's recession cone K in
+    v_bar's.  Without a polytope both are the floors of the cells."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -74,7 +74,7 @@ def rationalize_unbounded_ray(
             f"ray must grow cubically to +infinity (got order {cls.growth_order}, {cls.direction})"
         )
     f3 = f.homogeneous_component(3)
-    rows = None
+    rows = []
     if polytope is not None:
         if polytope.num_nonlinear:
             raise ValueError("polytope must be purely linear")
@@ -84,30 +84,22 @@ def rationalize_unbounded_ray(
                 raise ValueError("base point does not satisfy the polytope")
             if sign(dot(a, v_bar)) > 0:
                 raise ValueError("direction is not in the recession cone")
+    cone = [(a, 0) for a, _ in rows]
 
     if field_of(list(x_bar) + list(v_bar)) is None:
         return [Fraction(c) for c in x_bar], [Fraction(c) for c in v_bar]
 
     def try_at(k: int) -> tuple[list[Fraction], list[Fraction]] | None:
-        if Fraction(1, 1 << k) > eps:
+        width = Fraction(1, 1 << k)
+        if width > eps:
             return None
-        x_t = [dyadic_floor(c, k) for c in x_bar]
-        v_t = [dyadic_floor(c, k) for c in v_bar]
-        if f3.eval(v_t) <= 0:
+        # x_bar lies in P and in its closed cell, v_bar in K and in its own,
+        # so neither LP is empty.
+        v = cell_lex_min(cone, [dyadic_floor(c, k) for c in v_bar], width)
+        if f3.eval(v) <= 0:
             return None
-        if rows is None:
-            return x_t, v_t
-        if not satisfies(rows, x_t):
-            return None
-        if all(dot(a, v_t) <= 0 for a, _ in rows):
-            return x_t, v_t
-        active = [a for a, _ in rows if sign(dot(a, v_bar)) == 0]
-        v_p = project_to_nullspace(v_t, active)
-        if _is_zero_vec(v_p) or any(dot(a, v_p) > 0 for a, _ in rows):
-            return None
-        if f3.eval(v_p) > 0:
-            return x_t, v_p
-        raise ValueError("projection onto the recession cone lost cubic growth (f3 <= 0)")
+        x = cell_lex_min(rows, [dyadic_floor(c, k) for c in x_bar], width)
+        return list(x), list(v)
 
     return refine_dyadic(try_at, "qualifying dyadic pair")
 

@@ -25,7 +25,7 @@ from polycert.bounds import delta_bound
 from polycert.cli import main
 from polycert.polyalg import Polynomial
 from polycert.reductions import CnfFormula, build_np_hard_system
-from polycert.systems import LE0, PolySystem, point_from_json, point_to_json
+from polycert.systems import LE0, PolySystem, point_from_json, point_to_json, verify
 from polycert.ratcore import AlgebraicElement, format_rat, integer_nth_root, parse_rat
 
 TWO_CLAUSE = "p cnf 3 2\n1 -2 3 0\n-1 2 3 0\n"
@@ -256,9 +256,11 @@ class TestGadget:
         assert "corner" in names
         assert report["inputs"]["name"] == "socp"
 
-    def test_socp_past_the_squarefree_bound_is_refused_quickly(self):
-        """a^2 + b^2 = 2^104 + 1 is past squarefree_split's 2^60: exit 1 at
-        once, where trial division to the square root ran without bound."""
+    def test_socp_past_2_to_the_60_is_built_quickly(self):
+        """a^2 + b^2 = 2^104 + 1 is written as the root of Q(sqrt(2^104 + 1))
+        without factoring it: exit 0 at once with a corner that verifies.
+        Factoring by trial division refused it, and to the square root ran
+        without bound."""
         b, c = 2 ** 52, 2 ** 103
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -268,8 +270,12 @@ class TestGadget:
             capture_output=True, text=True, timeout=20,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert proc.returncode == 1, proc.stderr
-        assert "2^60" in json.loads(proc.stdout)["outputs"]["error"]
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)["outputs"]
+        corner = out["landmarks"][0]
+        assert corner["name"] == "corner" and corner["point"]["k"] == b * b + 1
+        verdict = verify(PolySystem.from_json(out["system"]), point_from_json(corner["point"]))
+        assert verdict.feasible and all(verdict.residuals[i].is_zero() for i in range(5))
 
     def test_out_files_round_trip_canonically(self, capsys, tmp_path):
         sys_path = tmp_path / "sys.json"
@@ -933,6 +939,37 @@ class TestRay:
         assert code == 1
         assert "must be purely linear" in report["outputs"]["error"]
 
+    def test_rationalize_base_point_on_the_polytope_boundary(self, capsys, tmp_path):
+        """Every dyadic floor of (sqrt2, -sqrt2) leaves x1 + x2 >= 0, which
+        ran the search to its precision cap with exit 1; the lex-least point
+        of P in the floor's cell qualifies."""
+        r = AlgebraicElement.root(2, 2)
+        poly = write_json(tmp_path / "f.json", Polynomial(2, {(3, 0): F(1)}).to_json())
+        frm = write_json(tmp_path / "x.json", point_to_json([r, -r]))
+        dr = write_json(tmp_path / "v.json", point_to_json([F(1), F(0)]))
+        x1, x2 = Polynomial.variables(2)
+        pol = write_json(tmp_path / "P.json", PolySystem(2, [(-x1 - x2, LE0)]).to_json())
+        argv = ["ray", "--poly", poly, "--from", frm, "--dir", dr, "--polytope", pol, "--rationalize", "1/10"]
+        code, report, _ = run(capsys, argv)
+        assert code == 0
+        assert report["outputs"]["point"]["values"] == ["181/128", "-181/128"]
+        assert report["outputs"]["direction"]["values"] == ["1/1", "0/1"]
+
+    def test_polytope_without_rationalize_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        """The ray from the origin along (1, 0) leaves x1 <= 0 at once; it was
+        classified with exit 0, P read but not used.  Now no file is read."""
+        poly = write_json(tmp_path / "f.json", Polynomial(2, {(3, 0): F(1)}).to_json())
+        frm = write_json(tmp_path / "x.json", point_to_json([F(0), F(0)]))
+        dr = write_json(tmp_path / "v.json", point_to_json([F(1), F(0)]))
+        pol = write_json(tmp_path / "P.json", PolySystem(2, [(Polynomial.variable(2, 0), LE0)]).to_json())
+        reads = []
+        monkeypatch.setattr(cli, "open", lambda path, *a, **k: reads.append(path) or open(path, *a, **k), raising=False)
+        code, report, err = run(capsys, ["ray", "--poly", poly, "--from", frm, "--dir", dr, "--polytope", pol])
+        assert code == 2
+        assert report is None
+        assert "--polytope applies only with --rationalize" in err
+        assert reads == []
+
     def test_bad_rationalize_value_is_usage_error(self, capsys, tmp_path):
         f = Polynomial(1, {(3,): F(1)})
         poly = write_json(tmp_path / "f.json", f.to_json())
@@ -1140,7 +1177,8 @@ class TestFlagsAndFiles:
             "point": write_json(tmp_path / "pt.json", point_to_json([F(1, 3), F(1, 3)])),
             "box": write_json(tmp_path / "box.json", PolySystem(2, box_rows).to_json()),
             "cubic": write_json(tmp_path / "cubic.json", {"coeffs": [["1", "0", "-6", "5"]] * 2}),
-            "poly": write_json(tmp_path / "f.json", Polynomial.variable(2, 0).to_json()),
+            "quadrant": write_json(tmp_path / "quadrant.json", PolySystem(2, box_rows[::2]).to_json()),
+            "poly": write_json(tmp_path / "f.json", (Polynomial.variable(2, 0) ** 3).to_json()),
             "dir": write_json(tmp_path / "dir.json", point_to_json([F(1), F(0)])),
             "cnf": str(cnf),
         }
@@ -1149,7 +1187,8 @@ class TestFlagsAndFiles:
             "check": ["--system", "{system}", "--point", "{point}", "--delta", "10"],
             "certify": ["--system", "{system}", "--point", "{point}", "--delta", "10"],
             "separable": ["--system", "{box}", "--cubic", "{cubic}"],
-            "ray": ["--poly", "{poly}", "--from", "{point}", "--dir", "{dir}", "--polytope", "{box}"],
+            "ray": ["--poly", "{poly}", "--from", "{point}", "--dir", "{dir}", "--polytope", "{quadrant}",
+                    "--rationalize", "1/10"],
             "reduce": ["--cnf", "{cnf}", "--variant", "quad"],
         }[cmd]
         argv = [cmd] + [a.format(**files) for a in argv]

@@ -3,7 +3,9 @@
 `subset_vertices`, the row-subset vertex search that `enumerate_vertices`
 replaced, stays here as the oracle the simplex and the LP vertex search are
 checked against; `edges_of`, the active-row scan that the LP ends replaced,
-is the oracle of the edges."""
+is the oracle of the edges; `project_to_nullspace`, the Gram-Schmidt
+projection that rounding into a recession cone once used, gives
+`candidate_recession_ray` its null-space candidates."""
 
 import math
 from fractions import Fraction
@@ -23,7 +25,6 @@ from polycert.linear import (
     enumerate_vertices,
     integer_row,
     linear_rows,
-    project_to_nullspace,
     recession_ray,
     satisfies,
     signed_units,
@@ -205,6 +206,30 @@ class TestRowHelpers:
         rows = rows_box(2, 0, 1)
         assert satisfies(rows, [F(1, 2), F(1, 2)])
         assert not satisfies(rows, [F(2), F(0)])
+
+
+def _reject(v, basis):
+    """v minus its projection onto the span of an orthogonal basis."""
+    out = list(map(Fraction, v))
+    for w in basis:
+        c = dot(out, w) / dot(w, w)
+        out = [a - c * b for a, b in zip(out, w)]
+    return out
+
+
+def _orthogonalize(rows):
+    out = []
+    for r in rows:
+        v = _reject(r, out)
+        if any(v):
+            out.append(v)
+    return out
+
+
+def project_to_nullspace(v, normals):
+    """Orthogonal projection of v onto {x : a.x = 0 for each normal a}, exact:
+    the null-space basis of the `candidate_recession_ray` oracle."""
+    return _reject(v, _orthogonalize(normals))
 
 
 class TestProjection:

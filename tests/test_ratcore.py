@@ -19,7 +19,6 @@ from polycert.ratcore import (
     AlgebraicElement,
     PRECISION_CAP_ENV,
     PrecisionCapError,
-    SQUAREFREE_SPLIT_MAX,
     check_tower_bits,
     dyadic_floor,
     encoding_size,
@@ -35,7 +34,6 @@ from polycert.ratcore import (
     parse_rat,
     precision_cap,
     refine_dyadic,
-    squarefree_split,
     theta_enclosure,
 )
 
@@ -307,75 +305,6 @@ class TestRoots:
         lo, hi = theta_enclosure(3, 2, 40)
         assert lo ** 3 <= 2 <= hi ** 3
         assert hi - lo == Fraction(1, 2 ** 40)
-
-
-def trial_division_split(m: int) -> tuple[int, int]:
-    """The former squarefree_split: trial division up to the square root."""
-    outer, inner = 1, 1
-    p = 2
-    mm = m
-    while p * p <= mm:
-        if mm % p == 0:
-            e = 0
-            while mm % p == 0:
-                mm //= p
-                e += 1
-            outer *= p ** (e // 2)
-            inner *= p ** (e % 2)
-        p += 1 if p == 2 else 2
-    return outer, inner * mm
-
-
-class TestSquarefreeSplit:
-    @pytest.mark.parametrize(
-        "m,outer,inner", [(1, 1, 1), (2, 1, 2), (8, 2, 2), (12, 2, 3), (72, 6, 2), (49, 7, 1)]
-    )
-    def test_known_splits(self, m, outer, inner):
-        assert squarefree_split(m) == (outer, inner)
-
-    @given(st.integers(min_value=1, max_value=100000))
-    def test_reconstruction_and_squarefree(self, m):
-        outer, inner = squarefree_split(m)
-        assert outer * outer * inner == m
-        for p in range(2, 200):
-            if p * p > inner:
-                break
-            assert inner % (p * p) != 0
-
-    def test_agrees_with_trial_division_to_the_square_root(self):
-        for m in range(1, 10 ** 5 + 1):
-            assert squarefree_split(m) == trial_division_split(m), m
-
-    @given(
-        st.integers(min_value=1, max_value=10 ** 4),
-        st.integers(min_value=1, max_value=10 ** 4),
-        st.integers(min_value=1, max_value=100),
-    )
-    def test_agrees_with_trial_division_on_squares_of_large_factors(self, a, b, c):
-        """a^2 * b * c: a cofactor above the cube root is often a square."""
-        m = a * a * b * c
-        assert squarefree_split(m) == trial_division_split(m)
-
-    @pytest.mark.parametrize(
-        "m, split",
-        [
-            (1000003 ** 2, (1000003, 1)),  # a prime square above the cube root
-            (1000003 * 1000033, (1, 1000003 * 1000033)),
-            (12 * 1000003 ** 2, (2 * 1000003, 3)),
-            (2 ** 60, (2 ** 30, 1)),
-            (2 ** 60 - 93, None),  # no factor below its cube root 2^20
-        ],
-    )
-    def test_large_factors_up_to_the_bound(self, m, split):
-        outer, inner = squarefree_split(m)
-        assert outer * outer * inner == m
-        if split is not None:
-            assert (outer, inner) == split
-
-    def test_refuses_past_2_to_the_60(self):
-        assert squarefree_split(SQUAREFREE_SPLIT_MAX) == (2 ** 30, 1)
-        with pytest.raises(ValueError, match="2\\^60"):
-            squarefree_split(SQUAREFREE_SPLIT_MAX + 1)
 
 
 class TestAlgebraicElement:

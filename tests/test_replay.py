@@ -40,36 +40,46 @@ def bench():
 
 DIGESTS = {
     "cnf-scale": "994e73e8661c2b7006e94f75d2f74987ea5d03efe23f6d223f18b0f7f1d00090",
-    "algebraic": "a3054921a33bc587a851f79029cc0f29c712c2c972b8be3a4766040c68cf285d",
+    "algebraic": "d8813d06bcbb0c519d2b4c20aa166f58f9607ec8fc0bee12cc441af5f06a1f2f",
     "desk-solvers": "f4c33d88d66ac56c4c124ea8c4c31a7a5de366d77fafe23e7db382ca98516f6a",
 }
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_seed_one_replay(bench, workload, tmp_path, monkeypatch):
-    workloads, replay, checks = bench
-    plan = workloads.build(workload, 1, tmp_path).to_json()
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("POLYCERT_PRECISION_CAP", raising=False)
-    gc.freeze()  # replay collects before each call; leave the test runner's heap out of it
-    try:
-        result = replay.replay(plan)
-    finally:
-        gc.unfreeze()
+@pytest.fixture(scope="module", params=sorted(DIGESTS))
+def replayed(request, bench, tmp_path_factory):
+    """(workload, plan, call records, directory): each seed-1 plan replayed
+    once, for both tests that read it."""
+    workloads, replay, _ = bench
+    root = tmp_path_factory.mktemp(request.param)
+    plan = workloads.build(request.param, 1, root).to_json()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        mp.delenv("POLYCERT_PRECISION_CAP", raising=False)
+        gc.freeze()  # replay collects before each call; leave the test runner's heap out of it
+        try:
+            calls = replay.replay(plan)["calls"]
+        finally:
+            gc.unfreeze()
+    return request.param, plan, calls, root
+
+
+def test_seed_one_replay(bench, replayed):
+    _, _, checks = bench
+    workload, plan, calls, root = replayed
     digest = hashlib.sha256()
     failures = []
-    for i, (call, rec) in enumerate(zip(plan["calls"], result["calls"])):
+    for i, (call, rec) in enumerate(zip(plan["calls"], calls)):
         report = json.loads(rec["report"]) if rec["report"].strip() else None
-        errors = checks.check_call(call["key"], rec["code"], report, tmp_path)
+        errors = checks.check_call(call["key"], rec["code"], report, root)
         if errors:
             failures.append((i, call["argv"][0], errors))
         if report is not None:
             del report["timing_ms"]
         digest.update(json.dumps([rec["code"], report, rec["stderr"]]).encode())
-        for path in map(tmp_path.joinpath, call["writes"]):
+        for path in map(root.joinpath, call["writes"]):
             digest.update(path.read_bytes() if path.exists() else b"absent")
     assert not failures
-    assert len(result["calls"]) == len(plan["calls"])
+    assert len(calls) == len(plan["calls"])
     assert digest.hexdigest() == DIGESTS[workload]
 
 
@@ -138,12 +148,8 @@ def test_contract_walk_flags_floats_and_stray_integers():
     ]
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_seed_one_reports_keep_the_number_contract(bench, workload, tmp_path, monkeypatch):
-    workloads, replay, _ = bench
-    plan = workloads.build(workload, 1, tmp_path).to_json()
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("POLYCERT_PRECISION_CAP", raising=False)
-    reports = [json.loads(rec["report"]) for rec in replay.replay(plan)["calls"] if rec["report"].strip()]
+def test_seed_one_reports_keep_the_number_contract(replayed):
+    _, _, calls, _ = replayed
+    reports = [json.loads(rec["report"]) for rec in calls if rec["report"].strip()]
     assert reports
     assert [bad for report in reports for bad in numbers_off_contract(report)] == []

@@ -38,8 +38,8 @@ class Mutant:
 
 
 LINEAR = "src/polycert/linear.py"
-CERTIFY = "src/polycert/certify.py"
 CLI = "src/polycert/cli.py"
+GADGETS = "src/polycert/gadgets.py"
 REDUCTIONS = "src/polycert/reductions.py"
 RAYS = "src/polycert/rays.py"
 
@@ -87,15 +87,15 @@ MUTANTS = [
         ("tests/test_linear.py::TestSimplex::test_fraction_entry_is_refused",),
     ),
     Mutant(
-        "certificate not scaled back by the cell width",
-        CERTIFY,
-        "tuple(l + width * y for l, y in zip(lo, y_bar))",
-        "tuple(l + y for l, y in zip(lo, y_bar))",
+        "cell vertex not scaled back by the cell width",
+        LINEAR,
+        "tuple(l + width * u for l, u in zip(lo, y))",
+        "tuple(l + u for l, u in zip(lo, y))",
         ("tests/test_certify.py::TestWorkedExample::test_row_through_the_cell_moves_the_vertex",),
     ),
     Mutant(
         "cell row drop inverted",
-        CERTIFY,
+        LINEAR,
         "if sum(max(u, 0) for u in a) > b]",
         "if sum(max(u, 0) for u in a) <= b]",
         ("tests/test_certify.py::TestWorkedExample::test_row_through_the_cell_moves_the_vertex",),
@@ -135,13 +135,41 @@ MUTANTS = [
         "if False:",
         ("tests/test_cli.py::TestRay::test_rationalize_refuses_a_nonlinear_polytope_row",),
     ),
+    Mutant(
+        "recession cone built from the polytope's right sides",
+        RAYS,
+        "cone = [(a, 0) for a, _ in rows]",
+        "cone = list(rows)",
+        ("tests/test_rays.py::TestRationalize::test_cone_drops_the_right_side",),
+    ),
+    Mutant(
+        "base point rounded by its floor alone",
+        RAYS,
+        "x = cell_lex_min(rows, [dyadic_floor(c, k) for c in x_bar], width)",
+        "x = [dyadic_floor(c, k) for c in x_bar]",
+        ("tests/test_cli.py::TestRay::test_rationalize_base_point_on_the_polytope_boundary",),
+    ),
+    Mutant(
+        "socp corner never rational",
+        GADGETS,
+        "Fraction(r) if r * r == s else AlgebraicElement.root(2, s)",
+        "AlgebraicElement.root(2, s)",
+        ("tests/test_gadgets.py::TestSocp::test_rational_corner_when_sum_is_square",),
+    ),
+    Mutant(
+        "ray --polytope accepted without --rationalize",
+        CLI,
+        "if args.polytope and args.rationalize is None:",
+        "if False:",
+        ("tests/test_cli.py::TestRay::test_polytope_without_rationalize_is_a_usage_error",),
+    ),
 ]
 
 # (name, path, old, new, reason): mutants that change no answer.
 EQUIVALENT = [
     (
         "cell rows tight at a corner kept",
-        CERTIFY,
+        LINEAR,
         "if sum(max(u, 0) for u in a) > b]",
         "if sum(max(u, 0) for u in a) >= b]",
         "a row whose largest a.y on the cell equals its right side holds on the "
